@@ -21,14 +21,22 @@ The bivariate cdf is a port of the classic Gauss-Legendre evaluation of
 the single-integral correlation representation (graded 6/12/20-point
 rules, with a dedicated branch for |rho| > 0.925); its absolute error
 is below 5e-16.  The bivariate survival adds a conditioning-integral
-branch for deep joint tails where absolute accuracy is not enough.
+branch for deep joint tails (min(h, k) >= 3), where absolute accuracy is
+not enough: a fixed 64-node Gauss-Laguerre rule, certified by agreeing
+with a 48-node rule to 1e-14 relative, and an adaptive integral as the
+fallback that raises QuadratureConvergenceError rather than return an
+unconverged value.  Against 50-digit references it holds relative 1e-13
+for h, k in [3, 37] and rho in [-0.98, 0.9999] wherever the value is a
+normal double.
 """
 from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-from scipy.special import ndtri
+import numpy as np
+from scipy.special import erfcx, ndtri
+
+from .quadrature import checked_quad
 
 __all__ = [
     "std_normal_pdf",
@@ -288,12 +296,203 @@ def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+# Gauss-Laguerre rules for int_0^inf e^{-v} f(v) dv with 64 and 48 nodes,
+# frozen from scipy.special.roots_laguerre: numpy's laggauss tables are
+# about ten times less accurate at these sizes, and computing the roots
+# at import would cost set-up time and memory.
+_LAG64_NODES = (
+    0.02241587414670528, 0.1181225120967705, 0.2903657440180365,
+    0.539286221227979, 0.865037004648114, 1.2678140407752414,
+    1.7478596260594363, 2.3054637393075086, 2.9409651567252517,
+    3.6547526502072905, 4.447266343313094, 5.31899925449639,
+    6.270499046923654, 7.302370002587396, 8.415275239483025,
+    9.609939192796109, 10.887150383886372, 12.247764504244302,
+    13.692707845547506, 15.22298111152473, 16.83966365264874,
+    18.54391817085919, 20.336995948730234, 22.220242665950877,
+    24.195104875933254, 26.263137227118484, 28.426010527501028,
+    30.685520767525972, 33.04359923643783, 35.50232389114121,
+    38.06393216564647, 40.73083544445863, 43.50563546642153,
+    46.391142978616195, 49.39039902562469, 52.5066993413463,
+    55.74362241327838, 59.10506191901711, 62.59526440015139,
+    66.21887325124756, 69.98098037714682, 73.88718723248296,
+    77.94367743446313, 82.1573037783193, 86.53569334945652,
+    91.08737561313309, 95.82194001552072, 100.75023196951398,
+    105.88459946879995, 111.23920752443958, 116.8304450513065,
+    122.67746026853858, 128.80287876923768, 135.23378794952583,
+    142.00312148993152, 149.15166590004938, 156.73107513267115,
+    164.8086026551505, 173.47494683642427, 182.85820469143147,
+    193.15113603707292, 204.67202848505946, 218.03185193532852,
+    234.80957917132616,
+)
+_LAG64_WEIGHTS = (
+    0.05625284233902819, 0.11902398731242744, 0.15749640386214403,
+    0.16754705041577292, 0.1533528557792372, 0.12422105360933024,
+    0.09034230098648552, 0.05947775576835513, 0.03562751890403604,
+    0.01948041043116638, 0.009743594899382054, 0.0044643103641662735,
+    0.0018753595813231253, 0.0007226469815750097, 0.00025548753283349726,
+    8.287143534397052e-05, 2.465686396788564e-05, 6.726713878829696e-06,
+    1.6817853699640996e-06, 3.8508129815466965e-07, 8.068728040990615e-08,
+    1.5457237067576967e-08, 2.7044801476174967e-09, 4.316775475427217e-10,
+    6.27775254176158e-11, 8.306317376288957e-12, 9.98403178722015e-13,
+    1.0883538871166752e-13, 1.0740174034415791e-14, 9.575737231574517e-16,
+    7.697028023648768e-17, 5.5648811374541166e-18, 3.609756409010507e-19,
+    2.0950953695489746e-20, 1.0847933010975435e-21, 4.994699486363855e-23,
+    2.0378369745989135e-24, 7.339537564278521e-26, 2.3237830821987388e-27,
+    6.438234706908896e-29, 1.553121095788202e-30, 3.244250092019466e-32,
+    5.8323862678359235e-34, 8.963254833103018e-36, 1.168703989550733e-37,
+    1.28205598435991e-39, 1.1720949374050327e-41, 8.835339672329285e-44,
+    5.424955590305382e-46, 2.6755426666792817e-48, 1.0429170314113705e-50,
+    3.152902351957533e-53, 7.229541910648038e-56, 1.224235301229901e-58,
+    1.4821685049019626e-61, 1.2325193488144338e-64, 6.69149900457101e-68,
+    2.2204659418503774e-71, 4.1209460947382605e-75, 3.774399061896589e-79,
+    1.414115052917724e-83, 1.5918330640415102e-88, 2.9894843488610483e-94,
+    2.089063508436363e-101,
+)
+_LAG48_NODES = (
+    0.029811235829960116, 0.1571079906178763, 0.3862650375764556,
+    0.7175746941169723, 1.1513938340264347, 1.6881858234190472,
+    2.328527006653229, 3.073110861652639, 3.9227524130464806,
+    4.878393355921346, 5.941108054624559, 7.112110535890744,
+    8.392762599091224, 9.784583184687323, 11.289259168009528,
+    12.908657778285532, 14.644840883209707, 16.500081428964585,
+    18.476882386874113, 20.577998634022208, 22.806462290521374,
+    25.165612156439106, 27.659128044480532, 30.291071001008568,
+    33.065930662498744, 35.988681327478936, 39.06484876419777,
+    42.300590362903094, 45.70279203851147, 49.27918638283679,
+    53.03849808781666, 56.99062481480448, 61.14686478614023,
+    65.52020692901861, 70.12570623611319, 74.98097751891132,
+    80.10685735032439, 85.52831111603416, 91.27570799366809,
+    97.38666771358153, 103.90883335717626, 110.90422088497627,
+    118.45642504628363, 126.68342576888583, 135.7625895778643,
+    145.98643270946346, 157.915612022978, 172.99632814856324,
+)
+_LAG48_WEIGHTS = (
+    0.0742620058280286, 0.15227194980935374, 0.1904090882639105,
+    0.186633059484805, 0.15342420015757793, 0.10877969280748967,
+    0.06746073860921936, 0.03688119411582121, 0.01785684426915667,
+    0.007677616514497527, 0.0029357859037394585, 0.0009990655378158807,
+    0.0003025980169922558, 8.153871180355359e-05, 1.9531587157280668e-05,
+    4.154182945052143e-06, 7.833700380277585e-07, 1.3073947749205973e-07,
+    1.9270714080170156e-08, 2.5026389371262945e-09, 2.855785508771612e-10,
+    2.854622412059143e-11, 2.4910106849372316e-12, 1.8903366069715402e-13,
+    1.2421626859491467e-14, 7.034231520212635e-16, 3.41454914859178e-17,
+    1.412315414895773e-18, 4.944218008097539e-20, 1.4539524813679322e-21,
+    3.5610683650040436e-23, 7.194055996494724e-25, 1.1855372283505853e-26,
+    1.573491357075583e-28, 1.657285440919459e-30, 1.361434162716305e-32,
+    8.546155813963491e-35, 4.000090532481309e-37, 1.3550199911030598e-39,
+    3.201636795354865e-42, 5.035869166060801e-45, 4.962487540702896e-48,
+    2.823510716120364e-51, 8.268446069503922e-55, 1.0490648478211722e-58,
+    4.346574422738575e-63, 3.434736438396534e-68, 1.3190660883980075e-74,
+)
+
+# One numpy pass evaluates both rules: the 64 nodes first, then the 48,
+# and row i of the weight matrix picks out rule i.
+_LAG_NODES = np.array(_LAG64_NODES + _LAG48_NODES)
+_LAG_NEG_HALF_SQ = -0.5 * _LAG_NODES * _LAG_NODES
+_LAG_WEIGHTS = np.zeros((2, _LAG_NODES.size))
+_LAG_WEIGHTS[0, :64] = _LAG64_WEIGHTS
+_LAG_WEIGHTS[1, 64:] = _LAG48_WEIGHTS
+
+# The two rules must agree to this relative tolerance before the
+# 64-node value is returned without the adaptive fallback.
+_TAIL_CERTIFICATE_RTOL = 1e-14
+
+
+def _two_prod(x: float, y: float) -> tuple[float, float]:
+    """x*y as p + e exactly (Dekker's product on Veltkamp halves)."""
+    p = x * y
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _two_diff(x: float, y: float) -> tuple[float, float]:
+    """x - y as d + e exactly (Knuth's two-sum)."""
+    d = x - y
+    back = d - x
+    return d, (x - (d - back)) - (y + back)
+
+
+def _half_square_ratio(c: float, rho: float, a: float) -> tuple[float, float]:
+    """(c - rho*a)^2 / (2 (1 - rho^2)) as an unevaluated sum hi + lo.
+
+    This is x0^2/2 for the survival argument x0 = (c - rho*a)/s of the
+    joint tail.  Rounding x0 to a double would cost ~x0^2 ulp in
+    exp(-x0^2/2), over 1e-13 once x0 passes 30; carried to twice
+    working precision it costs about one ulp.
+    """
+    p, p_err = _two_prod(rho, a)
+    d, d_err = _two_diff(c, p)
+    d_err -= p_err
+    dd, dd_err = _two_prod(d, d)
+    dd_err += 2.0 * d * d_err
+    r2, r2_err = _two_prod(rho, rho)
+    s2, s2_err = _two_diff(1.0, r2)
+    s2_err -= r2_err
+    hi = dd / (2.0 * s2)
+    m, m_err = _two_prod(hi, 2.0 * s2)
+    lo = (((dd - m) - m_err) + dd_err - hi * 2.0 * s2_err) / (2.0 * s2)
+    return hi, lo
+
+
 def _tail_survival(h: float, k: float, rho: float) -> float:
     """Joint tail by conditioning on the larger threshold's variable.
 
     P(X > h, Y > k) = int_a^inf survival((c - rho*z)/s) phi(z) dz with
-    a = max(h, k): every factor is positive, so the result carries
-    relative accuracy down to underflow.
+    a = max(h, k), c = min(h, k), s = sqrt(1 - rho^2).  Substituting
+    z = a + v/lam gives
+
+        P = phi(a)/lam * int_0^inf e^{-v} g(v) dv,
+        g(v) = exp(v (1 - a/lam) - v^2/(2 lam^2))
+               * survival(x0 - rho*v/(s*lam)),   x0 = (c - rho*a)/s,
+
+    where every factor is positive, so the result carries relative
+    accuracy down to underflow.  lam = a matches e^{-v} to the decay of
+    phi; for rho < 0 the survival factor decays too, at rate ~ -rho*x0/s,
+    and lam adds it so that g stays smooth.  The 64- and 48-node
+    Gauss-Laguerre values of the integral must agree to 1e-14 relative;
+    where they do not (the sharp edge of g as rho -> 1) the adaptive
+    integral decides.
+    """
+    a = max(h, k)
+    c = min(h, k)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    x0 = (c - rho * a) / s
+    lam = a if rho >= 0.0 else a - rho * x0 / s
+    scale = 0.5 * _INV_SQRT_2PI * _exp_neg_half_square(a) / lam
+    if scale == 0.0:
+        return 0.0
+    # In y = x/sqrt(2) units the survival argument is y = y0 - u with
+    # u = beta*v, and 2 survival(x) = erfc(y) = erfcx(|y|) exp(-y^2) for
+    # y > 0, two minus that for y <= 0.  exp(-y^2) is exp(-y0^2), formed
+    # once from the exact square, times exp(u (2 y0 - u)): ndtr and erfc
+    # round y^2 internally and lose ~y^2 ulp (6e-14 at x = 20).
+    hi, lo = _half_square_ratio(c, rho, a)
+    y0 = _SQRT1_2_HI * x0
+    u = (_SQRT1_2_HI * rho / (s * lam)) * _LAG_NODES
+    y = y0 - u
+    tail = erfcx(np.abs(y)) * np.exp(u * (2.0 * y0 - u)) * (
+        math.exp(-hi) * math.exp(-lo))
+    g = np.exp(_LAG_NODES * (1.0 - a / lam) + _LAG_NEG_HALF_SQ / (lam * lam))
+    g *= np.where(y > 0.0, tail, 2.0 - tail)
+    # numpy's own sum rather than a BLAS dot: the same bytes whatever
+    # BLAS is linked, and no BLAS work buffer in peak memory
+    i64, i48 = (_LAG_WEIGHTS * g).sum(axis=1)
+    if abs(i64 - i48) <= _TAIL_CERTIFICATE_RTOL * i64:
+        return scale * float(i64)
+    return _tail_survival_adaptive(h, k, rho)
+
+
+def _tail_survival_adaptive(h: float, k: float, rho: float) -> float:
+    """The same conditioning integral by adaptive quadrature in z.
+
+    The fallback of `_tail_survival`, and the oracle the tests hold the
+    fixed rule to.  Raises QuadratureConvergenceError when QUADPACK
+    misses relative 1e-13.
     """
     a = max(h, k)
     c = min(h, k)
@@ -305,9 +504,9 @@ def _tail_survival(h: float, k: float, rho: float) -> float:
         z = a + t
         return std_normal_survival((c - rho * z) / s) * std_normal_pdf(z)
 
-    value = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13,
-                 limit=200, full_output=1)[0]
-    return max(value, 0.0)
+    result = checked_quad(integrand, 0.0, math.inf, 0.0, 1e-13,
+                          f"joint tail P(X > {h!r}, Y > {k!r}) at rho={rho!r}")
+    return max(result.value, 0.0)
 
 
 def bivariate_normal_survival(h: float, k: float, rho: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +18,7 @@ from scipy.integrate import quad
 
 from .gauss import std_normal_pdf
 from .norming import solve_bn, threshold
+from .quadrature import QuadratureConvergenceError, QuadratureResult
 
 __all__ = [
     "QuadratureResult",
@@ -27,23 +27,6 @@ __all__ = [
     "I_k_quadrature",
     "mc_triangular_maxima",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance.
-
-    The best available estimate is attached as `partial`."""
-
-    def __init__(self, message: str, partial: QuadratureResult) -> None:
-        super().__init__(message)
-        self.partial = partial
 
 
 def quad_semi_infinite(

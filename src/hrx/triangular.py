@@ -23,11 +23,10 @@ import operator
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.integrate import quad
-
 from .gauss import bivariate_normal_survival, std_normal_cdf, std_normal_survival
 from .hr_core import ApproxOrder, HRParams, hr_cdf
 from .norming import NormingConstant, solve_bn, threshold
+from .quadrature import checked_quad
 
 __all__ = [
     "ConstantRho",
@@ -302,6 +301,8 @@ def lemma31_tail_approx(
             w += (z2 * z2 / 8.0 - z2 / 2.0 - 2.0) / b4
         return std_normal_cdf(arg) * math.exp(-z) * w
 
-    integral = quad(integrand, y, math.inf, epsabs=1e-13, epsrel=1e-12,
-                    limit=200, full_output=1)[0]
+    integral = checked_quad(
+        integrand, y, math.inf, 1e-13, 1e-12,
+        f"lemma 3.1 tail integral at n={n}, rho={rho!r}, x={x!r}, y={y!r}",
+    ).value
     return n * std_normal_survival(threshold(constant, y)) - integral

@@ -20,6 +20,21 @@ settings.load_profile("suite")
 _RESULTS: dict[int, list[tuple[str, bool, str]]] = defaultdict(list)
 
 
+@pytest.fixture
+def unconverged_quad(monkeypatch):
+    """Make every checked adaptive quadrature report a missed tolerance.
+
+    Returns the partial result the failing quadrature reports."""
+    partial = hrx.QuadratureResult(0.5, 1.0, 21)
+
+    def fake_quad(*args, **kwargs):
+        return (partial.value, partial.abs_error_estimate,
+                {"neval": partial.evaluations}, "forced non-convergence")
+
+    monkeypatch.setattr(hrx.quadrature, "quad", fake_quad)
+    return partial
+
+
 def _record(number: int, label: str, passed: bool, detail: str) -> None:
     _RESULTS[number].append((label, bool(passed), detail))
 

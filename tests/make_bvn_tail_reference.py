@@ -1,0 +1,102 @@
+"""Regenerate the frozen joint-tail table `BVN_TAIL_REFERENCE` in test_gauss.py.
+
+    python tests/make_bvn_tail_reference.py > table.txt
+
+Each entry is P(X > h, Y > k) for a standard bivariate normal pair with
+correlation rho, evaluated in 60-digit mpmath arithmetic and printed as
+the correctly rounded double.  With a = max(h, k), c = min(h, k) and
+s = sqrt(1 - rho^2),
+
+    P = phi(a)/a * int_0^inf e^{-v} exp(-v^2/(2 a^2))
+                   * survival((c - rho*a - rho*v/a)/s) dv,
+
+integrated by composite 24-point Gauss-Legendre on [0, 80] at two
+subdivision levels: panels of 1/10 on [0, 4] and 1/2 on [4, 80], then
+1/25 and 1/4.  The two levels must agree to 1e-25 relative, which the
+script checks instead of trusting mpmath's own error estimate: tanh-sinh
+`mp.quad` on coarse breakpoints returned (20, 20, 0.3) wrong by 2.5e-11
+while reporting an error of 1e-53.  The neglected tail beyond v = 80 is
+below e^{-80} of the integral.  Cases whose value is below 1e-300 are
+dropped, because subnormal doubles carry no relative accuracy.
+"""
+from __future__ import annotations
+
+import mpmath
+from mpmath import mp, mpf
+from mpmath.calculus.quadrature import GaussLegendre
+
+mp.dps = 60
+
+RHOS_AND_POINTS = [
+    (-0.98, [(3.0, 3.0)]),
+    (-0.9, [(3.0, 3.0), (3.0, 4.5), (7.25, 9.0), (4.0, 11.5)]),
+    (-0.77, [(11.5, 11.5)]),
+    (-0.7, [(9.75, 18.5)]),
+    (-0.5, [(3.0, 3.0), (4.0, 6.0), (8.0, 8.0), (17.0, 17.0)]),
+    (-0.2, [(3.5, 3.0), (10.0, 12.0)]),
+    (0.1, [(3.0, 3.0), (5.0, 9.0), (15.0, 15.0)]),
+    (0.3, [(4.0, 4.0), (12.0, 7.0), (20.0, 20.0)]),
+    (0.5, [(3.0, 3.0), (6.0, 6.5), (16.0, 22.0), (25.0, 25.0)]),
+    (0.7, [(4.5, 4.0), (10.0, 10.0), (30.0, 20.0)]),
+    (0.9, [(3.0, 3.0), (6.0, 5.0), (15.0, 20.0), (30.0, 30.0)]),
+    (0.95, [(5.0, 5.0), (8.0, 12.0), (34.0, 36.0)]),
+    (0.99, [(3.0, 3.0), (6.0, 7.0), (20.0, 20.0), (37.0, 37.0)]),
+    (0.999, [(3.0, 4.0), (8.0, 8.0), (25.0, 30.0), (37.0, 36.0)]),
+    (0.9999, [(3.0, 3.0), (3.0, 3.1), (6.2, 6.2), (12.0, 11.0),
+              (30.0, 30.0), (37.0, 37.0), (36.5, 37.0)]),
+]
+
+_NODES = GaussLegendre(mp).calc_nodes(4, mp.prec)  # 24 points on [-1, 1]
+
+
+def _panels(width_head: mpf, width_tail: mpf):
+    edges = [mpf(0)]
+    while edges[-1] < 4:
+        edges.append(edges[-1] + width_head)
+    while edges[-1] < 80:
+        edges.append(edges[-1] + width_tail)
+    return list(zip(edges, edges[1:]))
+
+
+def _survival(x):
+    return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+
+def _integral(g, panels):
+    total = mpf(0)
+    for lo, hi in panels:
+        half = (hi - lo) / 2
+        mid = (hi + lo) / 2
+        total += half * mp.fsum(w * g(mid + half * x) for x, w in _NODES)
+    return total
+
+
+def joint_tail(h: float, k: float, rho: float) -> mpf:
+    a, c, r = mpf(max(h, k)), mpf(min(h, k)), mpf(rho)
+    s = mpmath.sqrt((1 - r) * (1 + r))
+
+    def g(v):
+        return (mpmath.exp(-v * v / (2 * a * a)) * mpmath.exp(-v)
+                * _survival((c - r * a - r * v / a) / s))
+
+    coarse = _integral(g, _panels(mpf(1) / 10, mpf(1) / 2))
+    fine = _integral(g, _panels(mpf(1) / 25, mpf(1) / 4))
+    if abs(coarse - fine) > mpf("1e-25") * fine:
+        raise RuntimeError(f"levels disagree at {(h, k, rho)}: {coarse} vs {fine}")
+    return mpmath.npdf(a) / a * fine
+
+
+def main() -> None:
+    print("BVN_TAIL_REFERENCE = [")
+    print("    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles")
+    for rho, points in RHOS_AND_POINTS:
+        for h, k in points:
+            value = float(joint_tail(h, k, rho))
+            if value < 1e-300:
+                continue
+            print(f"    ({h!r}, {k!r}, {rho!r}, {value!r}),")
+    print("]")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +391,33 @@ class TestMain:
         assert main([]) == 1
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_unconverged_joint_tail_exits_2(
+        self, tmp_path, capsys, monkeypatch, unconverged_quad
+    ):
+        # every joint tail falls back to the adaptive integral, which fails
+        monkeypatch.setattr(hrx.gauss, "_TAIL_CERTIFICATE_RTOL", -1.0)
+        out = tmp_path / "study.csv"
+        code = main([
+            "table", "--spec", "third-order", "--lambda", "1",
+            "--alpha", "2", "--beta", "5",
+            "--n", "8:8:1", "--grid", "2,2", "--out", str(out),
+        ])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point(self):
+        src = str(Path(hrx.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrx", "verify", "--help"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert "--seed" in proc.stdout
+        assert proc.stderr == ""
 
     def test_rate_rejects_bad_order(self, tmp_path, capsys):
         out = str(tmp_path / "study.csv")

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hrx import (
+    QuadratureConvergenceError,
     bivariate_normal_cdf,
     bivariate_normal_survival,
+    gauss,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -72,6 +75,60 @@ BVN_CDF_SAMPLES = [
 BVN_SURV_SAMPLES = [
     (2.0, 2.0, 0.5, 0.0040529462351629797),
     (5.2, 5.2, 0.937, 3.3096090048106495e-08),
+]
+
+# Joint tails for min(h, k) >= 3, from 60-digit mpmath by
+# make_bvn_tail_reference.py next to this file (its docstring has the
+# method and the cross-check that certifies each value).
+BVN_TAIL_REFERENCE = [
+    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles
+    (3.0, 3.0, -0.98, 1.3086583129853768e-200),
+    (3.0, 3.0, -0.9, 3.2694360168839317e-43),
+    (3.0, 4.5, -0.9, 1.6163550565515205e-65),
+    (7.25, 9.0, -0.9, 7.321312601086896e-292),
+    (4.0, 11.5, -0.9, 5.2546744570072236e-269),
+    (11.5, 11.5, -0.77, 1.8989966596051477e-254),
+    (9.75, 18.5, -0.7, 1.924436492553855e-298),
+    (3.0, 3.0, -0.5, 7.14750218127079e-11),
+    (4.0, 6.0, -0.5, 1.7695956153733303e-25),
+    (8.0, 8.0, -0.5, 1.8229947991158436e-59),
+    (17.0, 17.0, -0.5, 1.5061667940950334e-255),
+    (3.5, 3.0, -0.2, 1.530402814061101e-08),
+    (10.0, 12.0, -0.2, 7.611730900793818e-70),
+    (3.0, 3.0, 0.1, 4.90771937119597e-06),
+    (5.0, 9.0, 0.1, 2.2374969116182152e-24),
+    (15.0, 15.0, 0.1, 1.250888122927924e-92),
+    (4.0, 4.0, 0.3, 6.773600595327295e-08),
+    (12.0, 7.0, 0.3, 3.5936290749077384e-37),
+    (20.0, 20.0, 0.3, 1.6430962972645522e-137),
+    (3.0, 3.0, 0.5, 8.18896618321921e-05),
+    (6.0, 6.5, 0.5, 4.185260929314295e-14),
+    (16.0, 22.0, 0.5, 6.609884549082387e-116),
+    (25.0, 25.0, 0.5, 7.268821024907741e-185),
+    (4.5, 4.0, 0.7, 5.618754854700159e-07),
+    (10.0, 10.0, 0.7, 1.7119091988290454e-28),
+    (30.0, 20.0, 0.7, 4.533545101936443e-198),
+    (3.0, 3.0, 0.9, 0.0006104043853037787),
+    (6.0, 5.0, 0.9, 8.714297949643347e-10),
+    (15.0, 20.0, 0.9, 2.753624118601547e-89),
+    (30.0, 30.0, 0.9, 2.739329038647675e-209),
+    (5.0, 5.0, 0.95, 1.1650980496795293e-07),
+    (8.0, 12.0, 0.95, 1.776482112077679e-33),
+    (34.0, 36.0, 0.95, 3.199424651584408e-284),
+    (3.0, 3.0, 0.99, 0.0011015199986206224),
+    (6.0, 7.0, 0.99, 1.2798125438822566e-12),
+    (20.0, 20.0, 0.99, 4.274594498618803e-90),
+    (3.0, 4.0, 0.999, 3.1671241833119924e-05),
+    (8.0, 8.0, 0.999, 5.324284131429312e-16),
+    (25.0, 30.0, 0.999, 4.906713927148187e-198),
+    (37.0, 36.0, 0.999, 5.725571222524577e-300),
+    (3.0, 3.0, 0.9999, 0.0013248956714195714),
+    (3.0, 3.1, 0.9999, 0.000967603213218351),
+    (6.2, 6.2, 0.9999, 2.721986185004192e-10),
+    (12.0, 11.0, 0.9999, 1.776482112077679e-33),
+    (30.0, 30.0, 0.9999, 4.081485228851217e-198),
+    (37.0, 37.0, 0.9999, 4.542982617140806e-300),
+    (36.5, 37.0, 0.9999, 5.725571222524577e-300),
 ]
 
 
@@ -297,3 +354,62 @@ class TestBivariateSurvival:
     def test_rho_domain(self, r):
         with pytest.raises(ValueError):
             bivariate_normal_survival(0.0, 0.0, r)
+
+
+class TestBivariateTail:
+    """The min(h, k) >= 3 branch: certified Gauss-Laguerre, adaptive fallback."""
+
+    def test_frozen_reference(self):
+        for h, k, r, want in BVN_TAIL_REFERENCE:
+            got = bivariate_normal_survival(h, k, r)
+            assert rel_err(got, want) <= 1e-13, (h, k, r)
+
+    @given(
+        st.floats(3.0, 37.0),
+        st.floats(3.0, 37.0),
+        st.floats(-0.98, 0.9999),
+    )
+    def test_matches_adaptive_oracle(self, h, k, r):
+        want = gauss._tail_survival_adaptive(h, k, r)
+        assume(want >= 1e-300)
+        # The oracle rounds its survival argument x0 = (c - r a)/s, which
+        # costs it up to ~x0^2 ulp (1.8e-13 measured near x0 = 34); the
+        # 1e-13 contract itself is held by the frozen table above.
+        a, c = max(h, k), min(h, k)
+        x0 = (c - r * a) / math.sqrt((1.0 - r) * (1.0 + r))
+        tolerance = 1e-13 + 2.5e-16 * x0 * x0
+        assert rel_err(bivariate_normal_survival(h, k, r), want) <= tolerance
+
+    def test_certificate_decides_the_fallback(self, monkeypatch):
+        calls = []
+        adaptive = gauss._tail_survival_adaptive
+
+        def recorded(h, k, r):
+            calls.append((h, k, r))
+            return adaptive(h, k, r)
+
+        monkeypatch.setattr(gauss, "_tail_survival_adaptive", recorded)
+        # a point of the reference study: the fixed rule is certified
+        bivariate_normal_survival(6.0, 6.2, 0.94)
+        assert calls == []
+        # rho -> 1 puts a sharp edge into the integrand: the rules disagree
+        got = bivariate_normal_survival(3.0, 3.0, 0.9999)
+        assert calls == [(3.0, 3.0, 0.9999)]
+        assert rel_err(got, 0.0013248956714195714) <= 1e-13
+
+    def test_unconverged_fallback_raises(self, unconverged_quad):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            bivariate_normal_survival(3.0, 3.0, 0.9999)
+        assert info.value.partial == unconverged_quad
+        assert "rho=0.9999" in str(info.value)
+
+    def test_laguerre_tables_match_scipy(self):
+        from scipy.special import roots_laguerre
+
+        for n, nodes, weights in (
+            (64, gauss._LAG64_NODES, gauss._LAG64_WEIGHTS),
+            (48, gauss._LAG48_NODES, gauss._LAG48_WEIGHTS),
+        ):
+            want_nodes, want_weights = roots_laguerre(n)
+            np.testing.assert_array_max_ulp(np.array(nodes), want_nodes, 4)
+            np.testing.assert_array_max_ulp(np.array(weights), want_weights, 4)

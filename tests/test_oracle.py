@@ -56,6 +56,23 @@ class TestQuadSemiInfinite:
         assert partial.abs_error_estimate > 1e-10
 
 
+class TestCheckedQuad:
+    def test_flag_with_estimate_in_tolerance_is_kept(self, monkeypatch):
+        # QUADPACK may flag roundoff after it has met the tolerance anyway
+        monkeypatch.setattr(
+            hrx.quadrature, "quad",
+            lambda *a, **kw: (2.0, 1e-14, {"neval": 63}, "roundoff"),
+        )
+        got = hrx.quadrature.checked_quad(math.exp, 0.0, 1.0, 0.0, 1e-13, "f")
+        assert got == QuadratureResult(2.0, 1e-14, 63)
+
+    def test_missed_tolerance_raises(self, unconverged_quad):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            hrx.quadrature.checked_quad(math.exp, 0.0, 1.0, 0.0, 1e-13, "f")
+        assert info.value.partial == unconverged_quad
+        assert str(info.value) == "f: forced non-convergence"
+
+
 class TestIkQuadrature:
     def test_matches_simple_closed_form(self):
         # I_0(1; 0, 0) = 2 (1 - Phi(1))

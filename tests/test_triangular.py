@@ -16,6 +16,7 @@ from hrx import (
     CorollaryInfinity,
     CorollaryZero,
     HRParams,
+    QuadratureConvergenceError,
     ThirdOrderHR,
     a_coefficients,
     delta_error,
@@ -294,6 +295,12 @@ class TestLemma31TailApprox:
         for order in (ApproxOrder.SECOND, ApproxOrder.THIRD):
             got = lemma31_tail_approx(n, 0.0, 0.0, 0.0, order)
             assert abs(got - want) <= 1e-10
+
+    def test_unconverged_integral_raises(self, unconverged_quad):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            lemma31_tail_approx(10**4, 0.5, 1.0, 1.0, ApproxOrder.SECOND)
+        assert info.value.partial == unconverged_quad
+        assert "lemma 3.1" in str(info.value)
 
     def test_domain(self):
         with pytest.raises(ValueError):
