@@ -9,19 +9,15 @@ Subcommands:
     hrx verify  run the closed-form identity and oracle cross-check
                 suites, printing one pass/fail line each
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.  The
-environment variable HRX_THREADS caps worker threads for table runs;
-output ordering (n-major, then grid order) and bytes are independent of
-the thread count.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.  Table
+output is ordered n-major, then in grid order.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -32,8 +28,10 @@ from .hr_core import (
     ApproxOrder,
     HRParams,
     I_closed,
-    hr_approx,
+    approximants,
+    hr_approx,  # unused here; perfbench's tracer wraps this binding
     hr_cdf,
+    hr_expansion,
     tau3,
 )
 from .norming import solve_bn
@@ -116,65 +114,38 @@ class RateFit:
     r_squared: float
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HRX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _evaluate_point(
-    config: StudyConfig, row, x: float, y: float
-) -> ConvergenceRecord:
-    b2 = row.b.b_squared
-    h = hr_cdf(config.params, x, y)
-    if h < _H_FLOOR:
-        return ConvergenceRecord(
-            row.n, row.b.b, row.rho, x, y,
-            None, None, None, None, None, None, None, None, None, None,
-            row.clipped, skipped=True,
-        )
-    exact = exact_joint_max_cdf(row.n, row.rho, x, y)
-    approx: dict[ApproxOrder, float | None] = {}
-    err: dict[ApproxOrder, float | None] = {}
-    scaled: dict[ApproxOrder, float | None] = {}
-    for order in ApproxOrder:
-        if order in config.orders:
-            a = hr_approx(row.n, config.params, x, y, order)
-            e = abs(exact - a)
-            approx[order] = a
-            err[order] = e
-            scaled[order] = e * b2**order.value
-        else:
-            approx[order] = err[order] = scaled[order] = None
-    return ConvergenceRecord(
-        row.n, row.b.b, row.rho, x, y, exact,
-        approx[ApproxOrder.FIRST], approx[ApproxOrder.SECOND],
-        approx[ApproxOrder.THIRD],
-        err[ApproxOrder.FIRST], err[ApproxOrder.SECOND],
-        err[ApproxOrder.THIRD],
-        scaled[ApproxOrder.FIRST], scaled[ApproxOrder.SECOND],
-        scaled[ApproxOrder.THIRD],
-        row.clipped,
-    )
-
-
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """One record per (n, grid point), n-major, in deterministic order.
 
-    Writes the CSV to config.output_path when set ("-" means stdout).
+    H, kappa and tau do not depend on n: they are evaluated once per grid
+    point and every row combines them with its own b_n^2.  Writes the
+    CSV to config.output_path when set ("-" means stdout).
     """
     rows = [make_row(config.spec, n) for n in config.n_values]
-    tasks = [(row, x, y) for row in rows for (x, y) in config.grid]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda t: _evaluate_point(config, *t), tasks)
-            )
-    else:
-        records = [_evaluate_point(config, *task) for task in tasks]
+    terms = [hr_expansion(config.params, x, y) for x, y in config.grid]
+    records = []
+    for row in rows:
+        b2 = row.b.b_squared
+        # (column, b^{2k}) for each requested order k
+        wanted = [(order.value - 1, b2**order.value)
+                  for order in ApproxOrder if order in config.orders]
+        for (x, y), (h, c1, c2) in zip(config.grid, terms):
+            if h < _H_FLOOR:
+                records.append(ConvergenceRecord(
+                    row.n, row.b.b, row.rho, x, y, *[None] * 10,
+                    row.clipped, skipped=True,
+                ))
+                continue
+            exact = exact_joint_max_cdf(row.n, row.rho, x, y)
+            approx = approximants(h, c1, c2, b2)
+            # approx1..3, err1..3, scaled1..3; None for orders not requested
+            cells: list[float | None] = [None] * 9
+            for k, scale in wanted:
+                e = abs(exact - approx[k])
+                cells[k], cells[3 + k], cells[6 + k] = approx[k], e, e * scale
+            records.append(ConvergenceRecord(
+                row.n, row.b.b, row.rho, x, y, exact, *cells, row.clipped
+            ))
     if config.output_path is not None:
         write_records(records, config.output_path)
     return records
@@ -528,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--grid", help="x=a:b:step[,y=a:b:step] or x,y;x,y;...")
     table.add_argument("--orders", help="subset of 1,2,3 (default all)")
     table.add_argument("--out", help="output CSV path, - for stdout")
-    table.add_argument("--seed", help="accepted for config parity; unused")
 
     rate = sub.add_parser("rate", help="fit log err_k vs log b^2 from a CSV")
     rate.add_argument("csv", help="study CSV produced by `hrx table`")
@@ -543,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _TABLE_KEYS = ("spec", "rho", "lam", "alpha", "beta", "gamma",
-               "tau_rate", "n", "grid", "orders", "out", "seed")
+               "tau_rate", "n", "grid", "orders", "out")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

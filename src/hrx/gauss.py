@@ -98,7 +98,9 @@ def std_normal_pdf(x: float) -> float:
     """Standard normal density phi(x)."""
     if abs(x) < 8.0:
         return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if math.isinf(x):
+    # exp(-x^2/2) underflows to 0 here; past |x| ~ 2.6e5 the split's
+    # cross term alone would overflow exp().
+    if abs(x) >= 40.0:
         return 0.0
     return _INV_SQRT_2PI * _exp_neg_half_square(x)
 

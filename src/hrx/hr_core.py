@@ -27,7 +27,12 @@ into tau; and the auxiliary integrals
 whose closed forms the tau derivation rests on.  In the degenerate
 regimes the coefficients collapse to the univariate s and t: s(x)+s(y)
 (independence) and s(min(x,y)) (complete dependence), which is how
-`hr_approx` handles the Zero/Infinity tags.
+the Zero/Infinity tags are handled.
+
+H, kappa and tau do not depend on n: `hr_expansion` gives (H, kappa,
+tau + kappa^2/2) at one point, computing what the closed forms share
+once, and `approximants` combines them with b_n^2.  The scalar
+coefficient functions wrap the same per-point pieces.
 
 Every function here is an exact transcription of a closed form; all the
 integrals have independent quadrature oracles in the test suite.
@@ -38,6 +43,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gauss import std_normal_cdf, std_normal_pdf, std_normal_survival
 from .norming import solve_bn
@@ -58,6 +64,8 @@ __all__ = [
     "tau3",
     "tau",
     "I_closed",
+    "hr_expansion",
+    "approximants",
     "hr_approx",
 ]
 
@@ -129,31 +137,39 @@ class HRParams:
         return cls(LambdaRegime.FINITE, float(lam), float(alpha), float(beta))
 
 
-def _check_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"requires finite lam > 0, got {lam}")
-
-
 def gumbel_cdf(x: float) -> float:
     """Lambda(x) = exp(-e^{-x})."""
     return math.exp(-math.exp(-x))
 
 
+def _limit_regime(params: HRParams) -> LambdaRegime:
+    """Regime whose formulas evaluate params: a finite lam beyond a
+    cutoff is evaluated by the corresponding boundary member."""
+    if params.regime is LambdaRegime.FINITE:
+        if params.lam < _LAM_ZERO_CUTOFF:
+            return LambdaRegime.ZERO
+        if params.lam > _LAM_INF_CUTOFF:
+            return LambdaRegime.INFINITY
+    return params.regime
+
+
+def _finite_hr(cdf_w: float, ex: float, cdf_v: float, ey: float) -> float:
+    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}."""
+    return math.exp(-cdf_w * ex - cdf_v * ey)
+
+
 def hr_cdf(params: HRParams, x: float, y: float) -> float:
     """Limit distribution H_lam(x, y) for the given regime."""
-    if params.regime is LambdaRegime.ZERO:
+    regime = _limit_regime(params)
+    if regime is LambdaRegime.ZERO:
         return gumbel_cdf(min(x, y))
-    if params.regime is LambdaRegime.INFINITY:
+    if regime is LambdaRegime.INFINITY:
         return gumbel_cdf(x) * gumbel_cdf(y)
     lam = params.lam
-    if lam < _LAM_ZERO_CUTOFF:
-        return gumbel_cdf(min(x, y))
-    if lam > _LAM_INF_CUTOFF:
-        return gumbel_cdf(x) * gumbel_cdf(y)
     half = (y - x) / (2.0 * lam)
-    return math.exp(
-        -std_normal_cdf(lam + half) * math.exp(-x)
-        - std_normal_cdf(lam - half) * math.exp(-y)
+    return _finite_hr(
+        std_normal_cdf(lam + half), math.exp(-x),
+        std_normal_cdf(lam - half), math.exp(-y),
     )
 
 
@@ -167,62 +183,75 @@ def t_term(x: float) -> float:
     return -0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x * math.exp(-x)
 
 
+def _univariate_coeffs(x: float) -> tuple[float, float]:
+    """(s, t + s^2/2): the univariate expansion terms at x."""
+    s = s_term(x)
+    return s, t_term(x) + 0.5 * s * s
+
+
+def approximants(
+    h: float, c1: float, c2: float, b2: float
+) -> tuple[float, float, float]:
+    """First-, second- and third-order approximants H, H (1 + c1/b2) and
+    H (1 + c1/b2 + c2/b2^2); the last two are clamped to [0, 1]."""
+    value = 1.0 + c1 / b2
+    second = min(max(h * value, 0.0), 1.0)
+    value += c2 / (b2 * b2)
+    return h, second, min(max(h * value, 0.0), 1.0)
+
+
 def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:
     """Expansion of Phi^n(u_n(x)) about Lambda(x), truncated per order."""
     n = operator.index(n)
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
-    g = gumbel_cdf(x)
     if order is ApproxOrder.FIRST:
-        return g
+        return gumbel_cdf(x)
     b2 = solve_bn(n).b_squared
-    s = s_term(x)
-    value = 1.0 + s / b2
-    if order is ApproxOrder.THIRD:
-        value += (t_term(x) + 0.5 * s * s) / (b2 * b2)
-    return min(max(g * value, 0.0), 1.0)
+    return approximants(gumbel_cdf(x), *_univariate_coeffs(x), b2)[order.value - 1]
 
 
-def kappa(alpha: float, lam: float, x: float, y: float) -> float:
-    """Second-order coefficient of the bivariate expansion."""
-    _check_lam(lam)
+class _Point(NamedTuple):
+    """What the closed forms at (lam, x, y) share, computed once: with
+    w = lam + (y-x)/(2 lam), e^{-x}, Phi(w), Phi(2 lam - w), Phi-bar(w),
+    phi(w), and lam^2..lam^8."""
+
+    lam: float
+    x: float
+    y: float
+    ex: float
+    cdf_w: float
+    cdf_v: float
+    sf_w: float
+    pdf_w: float
+    powers: tuple[float, float, float, float, float, float, float]
+
+
+def _point(lam: float, x: float, y: float) -> _Point:
     half = (y - x) / (2.0 * lam)
-    return (
-        s_term(x) * std_normal_cdf(lam + half)
-        + s_term(y) * std_normal_cdf(lam - half)
-        + (2.0 * alpha - lam * (lam * lam + x + y + 2.0))
-        * math.exp(-x)
-        * std_normal_pdf(lam + half)
+    w = lam + half
+    l2 = lam * lam
+    l4 = l2 * l2
+    l6 = l4 * l2
+    return _Point(
+        lam, x, y, math.exp(-x), std_normal_cdf(w), std_normal_cdf(lam - half),
+        std_normal_survival(w), std_normal_pdf(w),
+        (l2, l2 * lam, l4, l4 * lam, l6, l6 * lam, l4 * l4),
     )
 
 
-def kappa1(alpha: float, lam: float, x: float, y: float) -> float:
-    """Second-order coefficient of the joint-tail piece alone.
-
-    kappa splits as s(x)Phi + s(y)Phi + kappa1-like remainder; kappa1 is
-    the b_n^2-scaled deviation of the joint exceedance from its limit.
-    """
-    _check_lam(lam)
-    w = lam + (y - x) / (2.0 * lam)
-    ex = math.exp(-x)
-    lam2 = lam * lam
-    return (2.0 * lam2 * lam2 - 2.0 * lam2 * x) * ex * std_normal_survival(w) + (
-        2.0 * alpha - 3.0 * lam2 * lam
-    ) * ex * std_normal_pdf(w)
+def _kappa(alpha: float, p: _Point) -> float:
+    lam, x, y = p.lam, p.x, p.y
+    return (
+        s_term(x) * p.cdf_w
+        + s_term(y) * p.cdf_v
+        + (2.0 * alpha - lam * (lam * lam + x + y + 2.0)) * p.ex * p.pdf_w
+    )
 
 
-def tau1(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
-    """Fourth-order piece from the correlation refinement (alpha, beta)."""
-    _check_lam(lam)
-    w = lam + (y - x) / (2.0 * lam)
-    ex = math.exp(-x)
-    l2 = lam * lam
-    l3 = l2 * lam
-    l4 = l2 * l2
-    l5 = l4 * lam
-    l6 = l4 * l2
-    l7 = l6 * lam
-    l8 = l4 * l4
+def _tau1(alpha: float, beta: float, p: _Point) -> float:
+    lam, x, y, ex = p.lam, p.x, p.y, p.ex
+    l2, l3, l4, l5, l6, l7, l8 = p.powers
     a2 = alpha * alpha
     c_pb = (
         2.0 * l8
@@ -254,21 +283,12 @@ def tau1(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
         - alpha / 2.0 * x * y
         + a2 / (2.0 * l3) * x * y
     )
-    return c_pb * ex * std_normal_survival(w) + c_ph * ex * std_normal_pdf(w)
+    return c_pb * ex * p.sf_w + c_ph * ex * p.pdf_w
 
 
-def tau2(alpha: float, lam: float, x: float, y: float) -> float:
-    """Fourth-order cross piece pairing the alpha refinement with x."""
-    _check_lam(lam)
-    w = lam + (y - x) / (2.0 * lam)
-    ex = math.exp(-x)
-    l2 = lam * lam
-    l3 = l2 * lam
-    l4 = l2 * l2
-    l5 = l4 * lam
-    l6 = l4 * l2
-    l7 = l6 * lam
-    l8 = l4 * l4
+def _tau2(alpha: float, p: _Point) -> float:
+    lam, x, y, ex = p.lam, p.x, p.y, p.ex
+    l2, l3, l4, l5, l6, l7, l8 = p.powers
     c_pb = (
         2.0 * l4
         - 4.0 * alpha * lam * x
@@ -294,29 +314,14 @@ def tau2(alpha: float, lam: float, x: float, y: float) -> float:
         + 3.0 / 2.0 * l3 * y * y
         - 8.0 * alpha * l2
     )
-    return c_pb * ex * std_normal_survival(w) + c_ph * ex * std_normal_pdf(w)
+    return c_pb * ex * p.sf_w + c_ph * ex * p.pdf_w
 
 
-def tau3(lam: float, x: float, y: float) -> float:
-    """Fourth-order piece equal to int_y^inf Phi(lam+(x-z)/2lam) e^{-z}
-    (z^4/8 - z^2/2 - 2) dz in closed form."""
-    _check_lam(lam)
-    w = lam + (y - x) / (2.0 * lam)
-    ex = math.exp(-x)
-    l2 = lam * lam
-    l3 = l2 * lam
-    l4 = l2 * l2
-    l5 = l4 * lam
-    l6 = l4 * l2
-    l7 = l6 * lam
-    l8 = l4 * l4
-    lead = (
-        0.125
-        * (((y + 4.0) * y + 8.0) * y + 16.0)
-        * y
-        * math.exp(-y)
-        * std_normal_cdf(lam + (x - y) / (2.0 * lam))
-    )
+def _tau3(p: _Point) -> float:
+    lam, x, y, ex = p.lam, p.x, p.y, p.ex
+    l2, l3, l4, l5, l6, l7, l8 = p.powers
+    # -t(y) Phi(lam + (x-y)/(2 lam)): the boundary term at z = y
+    lead = -t_term(y) * p.cdf_v
     c_pb = (
         4.0 * l6 * x
         - 3.0 * l4 * x * x
@@ -353,18 +358,57 @@ def tau3(lam: float, x: float, y: float) -> float:
         - 2.0 * lam * y
         - 4.0 * lam
     )
-    return lead + c_pb * ex * std_normal_survival(w) + c_ph * ex * std_normal_pdf(w)
+    return lead + c_pb * ex * p.sf_w + c_ph * ex * p.pdf_w
+
+
+def _tau(alpha: float, beta: float, p: _Point) -> float:
+    return t_term(p.x) + _tau1(alpha, beta, p) + _tau2(alpha, p) - _tau3(p)
+
+
+def _checked_point(lam: float, x: float, y: float) -> _Point:
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"requires finite lam > 0, got {lam}")
+    return _point(lam, x, y)
+
+
+def kappa(alpha: float, lam: float, x: float, y: float) -> float:
+    """Second-order coefficient of the bivariate expansion."""
+    return _kappa(alpha, _checked_point(lam, x, y))
+
+
+def kappa1(alpha: float, lam: float, x: float, y: float) -> float:
+    """Second-order coefficient of the joint-tail piece alone.
+
+    kappa splits as s(x)Phi + s(y)Phi + kappa1-like remainder; kappa1 is
+    the b_n^2-scaled deviation of the joint exceedance from its limit.
+    """
+    p = _checked_point(lam, x, y)
+    ex = p.ex
+    lam2 = lam * lam
+    return (2.0 * lam2 * lam2 - 2.0 * lam2 * x) * ex * p.sf_w + (
+        2.0 * alpha - 3.0 * lam2 * lam
+    ) * ex * p.pdf_w
+
+
+def tau1(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
+    """Fourth-order piece from the correlation refinement (alpha, beta)."""
+    return _tau1(alpha, beta, _checked_point(lam, x, y))
+
+
+def tau2(alpha: float, lam: float, x: float, y: float) -> float:
+    """Fourth-order cross piece pairing the alpha refinement with x."""
+    return _tau2(alpha, _checked_point(lam, x, y))
+
+
+def tau3(lam: float, x: float, y: float) -> float:
+    """Fourth-order piece equal to int_y^inf Phi(lam+(x-z)/2lam) e^{-z}
+    (z^4/8 - z^2/2 - 2) dz in closed form."""
+    return _tau3(_checked_point(lam, x, y))
 
 
 def tau(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
     """Full fourth-order coefficient: t(x) + tau1 + tau2 - tau3."""
-    _check_lam(lam)
-    return (
-        t_term(x)
-        + tau1(alpha, beta, lam, x, y)
-        + tau2(alpha, lam, x, y)
-        - tau3(lam, x, y)
-    )
+    return _tau(alpha, beta, _checked_point(lam, x, y))
 
 
 def I_closed(k: int, lam: float, x: float, y: float) -> float:
@@ -372,17 +416,9 @@ def I_closed(k: int, lam: float, x: float, y: float) -> float:
     k = operator.index(k)
     if k not in (0, 1, 2, 3):
         raise ValueError(f"I_k is defined for k in 0..3, got {k}")
-    _check_lam(lam)
-    w = lam + (y - x) / (2.0 * lam)
-    ex = math.exp(-x)
-    pb = std_normal_survival(w)
-    ph = std_normal_pdf(w)
-    l2 = lam * lam
-    l3 = l2 * lam
-    l4 = l2 * l2
-    l5 = l4 * lam
-    l6 = l4 * l2
-    l7 = l6 * lam
+    p = _checked_point(lam, x, y)
+    ex, pb, ph = p.ex, p.sf_w, p.pdf_w
+    l2, l3, l4, l5, l6, l7, _ = p.powers
     if k == 0:
         return 2.0 * lam * ex * pb
     if k == 1:
@@ -409,31 +445,21 @@ def I_closed(k: int, lam: float, x: float, y: float) -> float:
     ) * ex * ph
 
 
-def _zero_coeffs(x: float, y: float) -> tuple[float, float]:
-    m = min(x, y)
-    sm = s_term(m)
-    return sm, t_term(m) + 0.5 * sm * sm
-
-
-def _infinity_coeffs(x: float, y: float) -> tuple[float, float]:
-    ssum = s_term(x) + s_term(y)
-    return ssum, t_term(x) + t_term(y) + 0.5 * ssum * ssum
-
-
-def _expansion_coeffs(params: HRParams, x: float, y: float) -> tuple[float, float]:
-    """(second, fourth) order coefficients for the regime of params."""
-    if params.regime is LambdaRegime.ZERO:
-        return _zero_coeffs(x, y)
-    if params.regime is LambdaRegime.INFINITY:
-        return _infinity_coeffs(x, y)
-    lam = params.lam
-    if lam < _LAM_ZERO_CUTOFF:
-        return _zero_coeffs(x, y)
-    if lam > _LAM_INF_CUTOFF:
-        return _infinity_coeffs(x, y)
-    c1 = kappa(params.alpha, lam, x, y)
-    c2 = tau(params.alpha, params.beta, lam, x, y) + 0.5 * c1 * c1
-    return c1, c2
+def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, float]:
+    """(H, c1, c2) at (x, y), with c1 = kappa and c2 = tau + kappa^2/2:
+    the n-free terms of H (1 + c1/b_n^2 + c2/b_n^4).  Every quantity the
+    closed forms share is evaluated once."""
+    regime = _limit_regime(params)
+    if regime is LambdaRegime.ZERO:
+        return (hr_cdf(params, x, y), *_univariate_coeffs(min(x, y)))
+    if regime is LambdaRegime.INFINITY:
+        ssum = s_term(x) + s_term(y)
+        return (hr_cdf(params, x, y), ssum,
+                t_term(x) + t_term(y) + 0.5 * ssum * ssum)
+    p = _point(params.lam, x, y)
+    c1 = _kappa(params.alpha, p)
+    c2 = _tau(params.alpha, params.beta, p) + 0.5 * c1 * c1
+    return _finite_hr(p.cdf_w, p.ex, p.cdf_v, math.exp(-y)), c1, c2
 
 
 def hr_approx(
@@ -443,12 +469,7 @@ def hr_approx(
     n = operator.index(n)
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
-    h = hr_cdf(params, x, y)
     if order is ApproxOrder.FIRST:
-        return h
+        return hr_cdf(params, x, y)
     b2 = solve_bn(n).b_squared
-    c1, c2 = _expansion_coeffs(params, x, y)
-    value = 1.0 + c1 / b2
-    if order is ApproxOrder.THIRD:
-        value += c2 / (b2 * b2)
-    return min(max(h * value, 0.0), 1.0)
+    return approximants(*hr_expansion(params, x, y), b2)[order.value - 1]

@@ -1,6 +1,8 @@
 """Study driver, CSV round-tripping, rate fits, and the command line."""
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -19,7 +21,6 @@ from hrx.cli import (
     _parse_grid,
     _parse_n_values,
     _parse_orders,
-    _worker_count,
     build_study_config,
     fit_rate,
     main,
@@ -46,6 +47,63 @@ def synthetic_record(n, b, x, y, err1, err2=None):
         None, None, None,
         False,
     )
+
+
+FROZEN_STUDY_CSV = """\
+n,b_n,rho_n,x,y,exact,approx1,approx2,approx3,err1,err2,err3,scaled1,scaled2,scaled3,clipped
+10,1.2815515655446004,-1,1,1,0.67024390360825725,0.53846818224224957,0.81371424839338258,0.96920438012014087,0.13177572136600768,0.14347034478512533,0.29896047651188362,0.216425073309442,0.38699600696344899,1.3244339051267866,true
+10,1.2815515655446004,-1,-1,0.5,0.012387142148310916,0.051174010001129172,0.028554546307712012,0.18686625245934191,0.038786867852818256,0.016167404159401096,0.174479110311031,0.063702559405265591,0.043609854440812383,0.77296521643422167,true
+10,1.2815515655446004,-1,2.5,4,0.99382414504069316,0.91414833218800973,1,0.52084645629611048,0.079675812852683436,0.0061758549593068368,0.47297768874458268,0.13085751653551217,0.016658712380016198,2.095352852827451,true
+10,1.2815515655446004,-1,-700,-700,,,,,,,,,,,true
+100000,4.2648907939228247,0.91582882327579418,1,1,0.56498217366639936,0.53846818224224957,0.56332110450185924,0.564588801648371,0.026513991424149785,0.0016610691645401188,0.00039337201802835953,0.48227077144844388,0.54956539328049281,2.3672872268756984,false
+100000,4.2648907939228247,0.91582882327579418,-1,0.5,0.050276478085849646,0.051174010001129172,0.049131620147615747,0.050422321338225759,0.0008975319152795258,0.0011448579382338994,0.00014584325237611273,0.016325471418354599,0.37877670388878676,0.87767520985971614,false
+100000,4.2648907939228247,0.91582882327579418,2.5,4,0.9364649361326608,0.91414833218800973,0.94107974281706286,0.93544145727327388,0.02231660394465107,0.0046148066844020619,0.0010234788593869171,0.40592325871740675,1.5268106256906031,6.1592292277110685,false
+100000,4.2648907939228247,0.91582882327579418,-700,-700,,,,,,,,,,,false
+"""
+
+RECORD_STUDIES = [
+    (hrx.ThirdOrderHR(1.0, 2.0, 5.0), HRParams.finite(1.0, 2.0, 5.0)),
+    (hrx.ConstantRho(0.5), HRParams.infinity()),
+    (hrx.CorollaryZero(2.0), HRParams.zero()),
+    # finite lam beyond the cutoffs takes the boundary members' formulas
+    (hrx.ThirdOrderHR(1e-7), HRParams.finite(1e-7)),
+    (hrx.ThirdOrderHR(2e6), HRParams.finite(2e6)),
+]
+
+ORDER_SUBSETS = [
+    frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(ApproxOrder, r)
+]
+
+
+def check_record(record, spec, params, orders):
+    """record == what the scalar functions give at its (n, x, y)."""
+    row = hrx.make_row(spec, record.n)
+    x, y = record.x, record.y
+    assert (record.b, record.rho, record.clipped) == (
+        row.b.b, row.rho, row.clipped,
+    )
+    if record.skipped:
+        assert hrx.hr_cdf(params, x, y) < 1e-300
+        assert record.exact is None
+        for order in ApproxOrder:
+            name = order.name.lower()
+            assert getattr(record, f"approx_{name}") is None
+            assert getattr(record, f"err_{name}") is None
+            assert getattr(record, f"scaled_{name}") is None
+        return
+    assert record.exact == hrx.exact_joint_max_cdf(record.n, record.rho, x, y)
+    b2 = row.b.b_squared
+    for order in ApproxOrder:
+        name = order.name.lower()
+        approx = getattr(record, f"approx_{name}")
+        err = getattr(record, f"err_{name}")
+        scaled = getattr(record, f"scaled_{name}")
+        if order not in orders:
+            assert approx is None and err is None and scaled is None
+            continue
+        assert approx == hrx.hr_approx(record.n, params, x, y, order)
+        assert err == abs(record.exact - approx)
+        assert scaled == err * b2**order.value
 
 
 class TestStudyConfig:
@@ -81,20 +139,20 @@ class TestRunStudy:
         ]
 
     def test_record_contents(self):
-        record = run_study(SMALL_CONFIG)[0]
-        row = hrx.make_row(SMALL_CONFIG.spec, record.n)
-        assert record.b == row.b.b
-        assert record.rho == row.rho
-        assert record.exact == hrx.exact_joint_max_cdf(
-            record.n, record.rho, 1.0, 1.0
-        )
-        want3 = hrx.hr_approx(record.n, SMALL_CONFIG.params, 1.0, 1.0,
-                              ApproxOrder.THIRD)
-        assert record.approx_third == want3
-        assert record.err_third == abs(record.exact - want3)
-        b2 = row.b.b_squared
-        assert record.scaled_third == record.err_third * b2**3
-        assert not record.skipped
+        # every record of every study and order subset must equal the
+        # scalar functions bit for bit: the study shares H, kappa and tau
+        # across its rows but may not change a single value
+        grid = ((1.0, 1.0), (0.5, 2.0), (-1.0, 0.0), (-700.0, -700.0))
+        for spec, params in RECORD_STUDIES:
+            for orders in ORDER_SUBSETS:
+                config = StudyConfig(spec, params, (10, 10**3, 10**5), grid,
+                                     orders, None)
+                records = run_study(config)
+                assert [r.skipped for r in records] == [
+                    False, False, False, True,
+                ] * 3
+                for record in records:
+                    check_record(record, spec, params, orders)
 
     def test_order_projection(self):
         config = StudyConfig(
@@ -123,19 +181,24 @@ class TestRunStudy:
     def test_deterministic(self):
         assert run_study(SMALL_CONFIG) == run_study(SMALL_CONFIG)
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = run_study(SMALL_CONFIG)
-        monkeypatch.setenv("HRX_THREADS", "4")
-        assert _worker_count() == 4
-        assert run_study(SMALL_CONFIG) == serial
+    def test_rows_share_terms_without_changing_bytes(self, tmp_path):
+        # a multi-row study is byte-equal to its rows run one at a time
+        grid = ((1.0, 1.0), (-2.0, 0.5), (3.0, 4.0), (-700.0, -700.0))
+        n_values = (10, 10**3, 10**5, 10**7)
 
-    def test_worker_count_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("HRX_THREADS", "0")
-        assert _worker_count() == 1
-        monkeypatch.setenv("HRX_THREADS", "abc")
-        assert _worker_count() == 1
-        monkeypatch.delenv("HRX_THREADS")
-        assert _worker_count() == 1
+        def csv_lines(n_values):
+            path = tmp_path / "study.csv"
+            write_records(run_study(StudyConfig(
+                SMALL_CONFIG.spec, SMALL_CONFIG.params, n_values, grid,
+                frozenset(ApproxOrder),
+            )), str(path))
+            return path.read_bytes().splitlines(keepends=True)
+
+        whole = csv_lines(n_values)
+        rows = [csv_lines((n,)) for n in n_values]
+        assert all(lines[0] == whole[0] for lines in rows)
+        assert whole[1:] == [line for lines in rows for line in lines[1:]]
+        assert len(whole) == 1 + len(n_values) * len(grid)
 
 
 class TestCsvRoundTrip:
@@ -161,6 +224,26 @@ class TestCsvRoundTrip:
         write_records(run_study(SMALL_CONFIG), str(a))
         write_records(run_study(SMALL_CONFIG), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_frozen_bytes(self, tmp_path, capsys):
+        # output as it was before the expansion terms were shared across
+        # rows; a reassociation of the coefficient arithmetic moves a
+        # last digit somewhere in the 288-record study
+        def table(n, grid):
+            path = tmp_path / "study.csv"
+            assert main([
+                "table", "--spec", "third-order", "--lambda", "1",
+                "--alpha", "2", "--beta", "5", "--n", n, "--grid", grid,
+                "--out", str(path),
+            ]) == 0
+            capsys.readouterr()
+            return path.read_bytes()
+
+        small = table("10,100000", "1,1;-1,0.5;2.5,4;-700,-700")
+        assert small.decode() == FROZEN_STUDY_CSV
+        assert hashlib.sha256(table("1:8:1", "x=-2:3:1")).hexdigest() == (
+            "836d5d07ef86829fbcfb7ff94a70d20c39eae1f7a8091894c73a10230f04d6e2"
+        )
 
     def test_header_guard(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -390,6 +473,17 @@ class TestMain:
         assert main(["nonsense"]) == 1
         assert main([]) == 1
         assert main(["--help"]) == 0
+        capsys.readouterr()
+
+    def test_table_rejects_seed(self, tmp_path, capsys):
+        # table never used a seed; a config file's seed key is still
+        # ignored like any unknown key
+        args = ["table", "--spec", "constant", "--rho", "0.5",
+                "--n", "100", "--grid", "0,0", "--out", str(tmp_path / "a.csv")]
+        assert main(args + ["--seed", "1"]) == 1
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("seed = 1\n")
+        assert main(args + ["--config", str(cfg)]) == 0
         capsys.readouterr()
 
     def test_unconverged_joint_tail_exits_2(

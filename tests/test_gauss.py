@@ -73,8 +73,10 @@ BVN_CDF_SAMPLES = [
     (0.5, 0.5, 0.999, 0.68518078623309765),
 ]
 BVN_SURV_SAMPLES = [
+    # (h, k, rho, value); references are taken at the double-rounded
+    # inputs, e.g. mpf(5.2) and mpf(0.937), not at the decimal ones
     (2.0, 2.0, 0.5, 0.0040529462351629797),
-    (5.2, 5.2, 0.937, 3.3096090048106495e-08),
+    (5.2, 5.2, 0.937, 3.3096090048106485e-08),
 ]
 
 # Joint tails for min(h, k) >= 3, from 60-digit mpmath by
@@ -144,6 +146,14 @@ class TestPdf:
     def test_infinities(self):
         assert std_normal_pdf(math.inf) == 0.0
         assert std_normal_pdf(-math.inf) == 0.0
+
+    def test_underflows_to_zero_at_huge_arguments(self):
+        # at 262144.02 and 300714.2857242857 the split's cross term alone
+        # overflows exp(); at 1e200 the split itself gives inf * 0
+        for x in (40.0, 262144.02, 300714.2857242857, 1e200):
+            assert std_normal_pdf(x) == 0.0
+            assert std_normal_pdf(-x) == 0.0
+            assert std_normal_survival(x) == 0.0
 
     @given(st.floats(-20.0, 20.0))
     def test_even_symmetry(self, x):

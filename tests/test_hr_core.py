@@ -21,6 +21,7 @@ from hrx import (
     gumbel_cdf,
     hr_approx,
     hr_cdf,
+    hr_expansion,
     kappa,
     kappa1,
     s_term,
@@ -379,6 +380,59 @@ class TestIClosed:
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
             I_closed(0, -1.0, 0.0, 0.0)
+
+
+class TestHrExpansion:
+    POINTS = ((0.3, 1.1), (-1.0, -1.0), (2.0, -0.5), (-3.0, 4.0))
+
+    def test_finite_terms_match_scalar_functions(self):
+        for lam, alpha, beta in ((1.0, 2.0, 5.0), (0.4, -1.0, 3.0), (3.0, 0.0, 0.0)):
+            p = HRParams.finite(lam, alpha, beta)
+            for x, y in self.POINTS:
+                h, c1, c2 = hr_expansion(p, x, y)
+                assert h == hr_cdf(p, x, y)
+                assert c1 == kappa(alpha, lam, x, y)
+                assert c2 == tau(alpha, beta, lam, x, y) + 0.5 * c1 * c1
+
+    def test_boundary_terms_are_univariate(self):
+        for x, y in self.POINTS:
+            m = min(x, y)
+            sm = s_term(m)
+            for p in (HRParams.zero(), HRParams.finite(1e-7)):
+                assert hr_expansion(p, x, y) == (
+                    gumbel_cdf(m), sm, t_term(m) + 0.5 * sm * sm,
+                )
+            ssum = s_term(x) + s_term(y)
+            for p in (HRParams.infinity(), HRParams.finite(2e6)):
+                assert hr_expansion(p, x, y) == (
+                    gumbel_cdf(x) * gumbel_cdf(y), ssum,
+                    t_term(x) + t_term(y) + 0.5 * ssum * ssum,
+                )
+
+    def test_approximants_are_hr_approx(self):
+        p = HRParams.finite(1.0, 2.0, 5.0)
+        for n in (3, 10**3, 10**8):
+            b2 = hrx.solve_bn(n).b_squared
+            for x, y in self.POINTS:
+                got = hrx.hr_core.approximants(*hr_expansion(p, x, y), b2)
+                assert got == tuple(
+                    hr_approx(n, p, x, y, order) for order in ApproxOrder
+                )
+
+    def test_pieces_do_not_need_exp_minus_y(self):
+        # e^{-y} overflows at y = -710; only H and the pieces built on
+        # s(y), t(y) use it
+        assert kappa1(1.0, 1.0, 0.0, -710.0) == 2.0
+        assert tau1(1.0, 1.0, 1.0, 0.0, -710.0) == 2.0
+        assert tau2(1.0, 1.0, 0.0, -710.0) == -10.0
+        assert I_closed(2, 1.0, 0.0, -710.0) == 16.0
+
+    def test_huge_w_is_finite(self):
+        # w = lam + (y-x)/(2 lam) = 300714.28..., where the normal
+        # density's split square overflows exp(); the terms stay finite
+        h, c1, c2 = hr_expansion(HRParams.finite(1e-5), 0.0, 6.014285714285714)
+        assert h == gumbel_cdf(0.0)
+        assert math.isfinite(c1) and math.isfinite(c2)
 
 
 class TestHrApprox:
