@@ -19,7 +19,8 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .triangular import (
     RhoSequenceSpec,
     ThirdOrderHR,
     exact_joint_max_cdf,
+    exact_row_cdf,
     make_row,
 )
 
@@ -118,25 +120,30 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """One record per (n, grid point), n-major, in deterministic order.
 
     H, kappa and tau do not depend on n: they are evaluated once per grid
-    point and every row combines them with its own b_n^2.  Writes the
-    CSV to config.output_path when set ("-" means stdout).
+    point and every row combines them with its own b_n^2.  The exact
+    F^n is one `exact_row_cdf` call per row over the points whose H is
+    above the floor.  Writes the CSV to config.output_path when set
+    ("-" means stdout).
     """
     rows = [make_row(config.spec, n) for n in config.n_values]
     terms = [hr_expansion(config.params, x, y) for x, y in config.grid]
+    evaluated = [not h < _H_FLOOR for h, _, _ in terms]
+    points = [p for p, keep in zip(config.grid, evaluated) if keep]
     records = []
     for row in rows:
         b2 = row.b.b_squared
         # (column, b^{2k}) for each requested order k
         wanted = [(order.value - 1, b2**order.value)
                   for order in ApproxOrder if order in config.orders]
-        for (x, y), (h, c1, c2) in zip(config.grid, terms):
-            if h < _H_FLOOR:
+        exact_values = iter(exact_row_cdf(row.n, row.rho, points))
+        for (x, y), (h, c1, c2), keep in zip(config.grid, terms, evaluated):
+            if not keep:
                 records.append(ConvergenceRecord(
                     row.n, row.b.b, row.rho, x, y, *[None] * 10,
                     row.clipped, skipped=True,
                 ))
                 continue
-            exact = exact_joint_max_cdf(row.n, row.rho, x, y)
+            exact = next(exact_values)
             approx = approximants(h, c1, c2, b2)
             # approx1..3, err1..3, scaled1..3; None for orders not requested
             cells: list[float | None] = [None] * 9
@@ -151,38 +158,40 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     return records
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, ".17g")
+@lru_cache(maxsize=None)
+def _line_format(empty: tuple[bool, ...]) -> str:
+    """printf format of one CSV line: n, the 14 value cells at 17
+    significant digits (blank where `empty`), clipped."""
+    cells = ("" if blank else "%.17g" for blank in empty)
+    return ",".join(["%s", *cells, "%s"]) + "\n"
 
 
-def _record_to_row(r: ConvergenceRecord) -> list[str]:
-    return [
-        str(r.n), _fmt(r.b), _fmt(r.rho), _fmt(r.x), _fmt(r.y),
-        _fmt(r.exact),
-        _fmt(r.approx_first), _fmt(r.approx_second), _fmt(r.approx_third),
-        _fmt(r.err_first), _fmt(r.err_second), _fmt(r.err_third),
-        _fmt(r.scaled_first), _fmt(r.scaled_second), _fmt(r.scaled_third),
-        "true" if r.clipped else "false",
-    ]
+_FULL_LINE = _line_format((False,) * 14)
 
 
-def _write_records_stream(records: Iterable[ConvergenceRecord], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for record in records:
-        writer.writerow(_record_to_row(record))
+def _record_line(r: ConvergenceRecord) -> str:
+    values = (
+        r.b, r.rho, r.x, r.y, r.exact,
+        r.approx_first, r.approx_second, r.approx_third,
+        r.err_first, r.err_second, r.err_third,
+        r.scaled_first, r.scaled_second, r.scaled_third,
+    )
+    line = _FULL_LINE
+    if None in values:
+        line = _line_format(tuple(v is None for v in values))
+        values = tuple(v for v in values if v is not None)
+    return line % (r.n, *values, "true" if r.clipped else "false")
 
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
     """Fixed-header CSV, 17 significant digits, byte-stable."""
+    text = "".join([",".join(_CSV_HEADER) + "\n", *map(_record_line, records)])
     if path == "-":
-        _write_records_stream(records, sys.stdout)
+        sys.stdout.write(text)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as stream:
-            _write_records_stream(records, stream)
+            stream.write(text)
     except OSError as exc:
         raise OSError(f"cannot write study output to {path!r}: {exc}") from exc
 

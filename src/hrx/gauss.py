@@ -28,10 +28,18 @@ fallback that raises QuadratureConvergenceError rather than return an
 unconverged value.  Against 50-digit references it holds relative 1e-13
 for h, k in [3, 37] and rho in [-0.98, 0.9999] wherever the value is a
 normal double.
+
+`joint_tail_survival` is that rule over arrays: all tail pairs of one
+rho in one numpy pass, each value bitwise equal to the one-pair call
+that `bivariate_normal_survival` makes.  The survival is also bitwise
+symmetric in (h, k) for rho >= 0, in every branch; for rho < -0.925 the
+Genz branch negates k and is not.  Row evaluations in `triangular`
+rely on both facts to evaluate each threshold pair once.
 """
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfcx, ndtri
@@ -45,6 +53,8 @@ __all__ = [
     "std_normal_quantile",
     "bivariate_normal_cdf",
     "bivariate_normal_survival",
+    "is_joint_tail",
+    "joint_tail_survival",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -441,9 +451,20 @@ def _half_square_ratio(c: float, rho: float, a: float) -> tuple[float, float]:
     return hi, lo
 
 
-def _tail_survival(h: float, k: float, rho: float) -> float:
-    """Joint tail by conditioning on the larger threshold's variable.
+def is_joint_tail(h: float, k: float, rho: float) -> bool:
+    """Whether `bivariate_normal_survival(h, k, rho)` takes the
+    Gauss-Laguerre branch: both thresholds finite and at least 3, and
+    rho strictly inside (-1, 1) and nonzero."""
+    return (min(h, k) >= 3.0 and max(h, k) != math.inf
+            and rho not in (0.0, 1.0, -1.0))
 
+
+def joint_tail_survival(
+    pairs: Sequence[tuple[float, float]], rho: float
+) -> list[float]:
+    """P(X > h, Y > k) for every pair (h, k) of the joint tail at one rho.
+
+    Conditions on the larger threshold's variable:
     P(X > h, Y > k) = int_a^inf survival((c - rho*z)/s) phi(z) dz with
     a = max(h, k), c = min(h, k), s = sqrt(1 - rho^2).  Substituting
     z = a + v/lam gives
@@ -458,41 +479,60 @@ def _tail_survival(h: float, k: float, rho: float) -> float:
     and lam adds it so that g stays smooth.  The 64- and 48-node
     Gauss-Laguerre values of the integral must agree to 1e-14 relative;
     where they do not (the sharp edge of g as rho -> 1) the adaptive
-    integral decides.
+    integral decides that pair.
+
+    All pairs go through one (pairs x 112 nodes) numpy pass.  Only
+    elementwise IEEE operations and per-row sums act across pairs, and
+    the two exponentials whose bits reach the result unscaled stay on
+    math.exp, so each value is the same double whether its pair comes
+    alone or in a batch: `bivariate_normal_survival` is the one-pair call.
     """
-    a = max(h, k)
-    c = min(h, k)
+    a = np.array([max(h, k) for h, k in pairs])
+    c = np.array([min(h, k) for h, k in pairs])
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     x0 = (c - rho * a) / s
     lam = a if rho >= 0.0 else a - rho * x0 / s
-    scale = 0.5 * _INV_SQRT_2PI * _exp_neg_half_square(a) / lam
-    if scale == 0.0:
-        return 0.0
+    scale = np.array([0.5 * _INV_SQRT_2PI * _exp_neg_half_square(v)
+                      for v in a.tolist()]) / lam
+    out = [0.0] * len(pairs)
+    # phi(a) underflows past a ~ 38.6: those pairs are 0
+    live = np.flatnonzero(scale != 0.0)
+    if live.size == 0:
+        return out
+    a, c, x0, lam = a[live], c[live], x0[live], lam[live]
     # In y = x/sqrt(2) units the survival argument is y = y0 - u with
     # u = beta*v, and 2 survival(x) = erfc(y) = erfcx(|y|) exp(-y^2) for
     # y > 0, two minus that for y <= 0.  exp(-y^2) is exp(-y0^2), formed
     # once from the exact square, times exp(u (2 y0 - u)): ndtr and erfc
     # round y^2 internally and lose ~y^2 ulp (6e-14 at x = 20).
     hi, lo = _half_square_ratio(c, rho, a)
-    y0 = _SQRT1_2_HI * x0
-    u = (_SQRT1_2_HI * rho / (s * lam)) * _LAG_NODES
+    exp_y0 = np.array([math.exp(-p) * math.exp(-q)
+                       for p, q in zip(hi.tolist(), lo.tolist())])
+    y0 = (_SQRT1_2_HI * x0)[:, None]
+    u = ((_SQRT1_2_HI * rho / (s * lam))[:, None]) * _LAG_NODES
     y = y0 - u
-    tail = erfcx(np.abs(y)) * np.exp(u * (2.0 * y0 - u)) * (
-        math.exp(-hi) * math.exp(-lo))
-    g = np.exp(_LAG_NODES * (1.0 - a / lam) + _LAG_NEG_HALF_SQ / (lam * lam))
+    tail = erfcx(np.abs(y)) * np.exp(u * (2.0 * y0 - u)) * exp_y0[:, None]
+    g = np.exp(_LAG_NODES * (1.0 - a / lam)[:, None]
+               + _LAG_NEG_HALF_SQ / (lam * lam)[:, None])
     g *= np.where(y > 0.0, tail, 2.0 - tail)
     # numpy's own sum rather than a BLAS dot: the same bytes whatever
     # BLAS is linked, and no BLAS work buffer in peak memory
-    i64, i48 = (_LAG_WEIGHTS * g).sum(axis=1)
-    if abs(i64 - i48) <= _TAIL_CERTIFICATE_RTOL * i64:
-        return scale * float(i64)
-    return _tail_survival_adaptive(h, k, rho)
+    sums = (_LAG_WEIGHTS * g[:, None, :]).sum(axis=2)
+    i64, i48 = sums[:, 0], sums[:, 1]
+    certified = np.abs(i64 - i48) <= _TAIL_CERTIFICATE_RTOL * i64
+    values = scale[live] * i64
+    for j, i in enumerate(live.tolist()):
+        if certified[j]:
+            out[i] = float(values[j])
+        else:
+            out[i] = _tail_survival_adaptive(*pairs[i], rho)
+    return out
 
 
 def _tail_survival_adaptive(h: float, k: float, rho: float) -> float:
     """The same conditioning integral by adaptive quadrature in z.
 
-    The fallback of `_tail_survival`, and the oracle the tests hold the
+    The fallback of `joint_tail_survival`, and the oracle the tests hold the
     fixed rule to.  Raises QuadratureConvergenceError when QUADPACK
     misses relative 1e-13.
     """
@@ -514,6 +554,8 @@ def _tail_survival_adaptive(h: float, k: float, rho: float) -> float:
 def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
     """P(X > h, Y > k) with cancellation control in the joint tail."""
     _check_rho(rho)
+    if is_joint_tail(h, k, rho):
+        return joint_tail_survival(((h, k),), rho)[0]
     if h == math.inf or k == math.inf:
         return 0.0
     if h == -math.inf:
@@ -529,7 +571,5 @@ def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
         if h >= -k:
             return 0.0
         return max(std_normal_survival(h) - std_normal_survival(-k), 0.0)
-    if min(h, k) >= 3.0:
-        return _tail_survival(h, k, rho)
     p = _bvn_upper(h, k, rho)
     return min(max(p, 0.0), 1.0)

@@ -137,9 +137,17 @@ class HRParams:
         return cls(LambdaRegime.FINITE, float(lam), float(alpha), float(beta))
 
 
+def _exp_neg(x: float) -> float:
+    """e^{-x}, or inf where it overflows (x below about -709.78)."""
+    try:
+        return math.exp(-x)
+    except OverflowError:
+        return math.inf
+
+
 def gumbel_cdf(x: float) -> float:
     """Lambda(x) = exp(-e^{-x})."""
-    return math.exp(-math.exp(-x))
+    return math.exp(-_exp_neg(x))
 
 
 def _limit_regime(params: HRParams) -> LambdaRegime:
@@ -154,7 +162,12 @@ def _limit_regime(params: HRParams) -> LambdaRegime:
 
 
 def _finite_hr(cdf_w: float, ex: float, cdf_v: float, ey: float) -> float:
-    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}."""
+    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}.
+
+    Once e^{-x} or e^{-y} overflows, H <= min(Lambda(x), Lambda(y))
+    is 0 in double precision; 0 * inf would make it NaN instead."""
+    if ex == math.inf or ey == math.inf:
+        return 0.0
     return math.exp(-cdf_w * ex - cdf_v * ey)
 
 
@@ -168,19 +181,19 @@ def hr_cdf(params: HRParams, x: float, y: float) -> float:
     lam = params.lam
     half = (y - x) / (2.0 * lam)
     return _finite_hr(
-        std_normal_cdf(lam + half), math.exp(-x),
-        std_normal_cdf(lam - half), math.exp(-y),
+        std_normal_cdf(lam + half), _exp_neg(x),
+        std_normal_cdf(lam - half), _exp_neg(y),
     )
 
 
 def s_term(x: float) -> float:
     """s(x) = (x^2 + 2x) e^{-x} / 2, the second-order univariate piece."""
-    return 0.5 * (x * x + 2.0 * x) * math.exp(-x)
+    return 0.5 * (x * x + 2.0 * x) * _exp_neg(x)
 
 
 def t_term(x: float) -> float:
     """t(x) = -(x^4 + 4x^3 + 8x^2 + 16x) e^{-x} / 8."""
-    return -0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x * math.exp(-x)
+    return -0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x * _exp_neg(x)
 
 
 def _univariate_coeffs(x: float) -> tuple[float, float]:
@@ -234,7 +247,7 @@ def _point(lam: float, x: float, y: float) -> _Point:
     l4 = l2 * l2
     l6 = l4 * l2
     return _Point(
-        lam, x, y, math.exp(-x), std_normal_cdf(w), std_normal_cdf(lam - half),
+        lam, x, y, _exp_neg(x), std_normal_cdf(w), std_normal_cdf(lam - half),
         std_normal_survival(w), std_normal_pdf(w),
         (l2, l2 * lam, l4, l4 * lam, l6, l6 * lam, l4 * l4),
     )
@@ -459,7 +472,7 @@ def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, fl
     p = _point(params.lam, x, y)
     c1 = _kappa(params.alpha, p)
     c2 = _tau(params.alpha, params.beta, p) + 0.5 * c1 * c1
-    return _finite_hr(p.cdf_w, p.ex, p.cdf_v, math.exp(-y)), c1, c2
+    return _finite_hr(p.cdf_w, p.ex, p.cdf_v, _exp_neg(y)), c1, c2
 
 
 def hr_approx(

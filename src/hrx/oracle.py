@@ -14,7 +14,6 @@ import operator
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gauss import std_normal_pdf
 from .norming import solve_bn, threshold
@@ -39,6 +38,8 @@ def quad_semi_infinite(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    # imported here so that `import hrx` does not load scipy.integrate
+    from scipy.integrate import quad
 
     def transformed(u: float) -> float:
         # A subdivided Gauss-Kronrod node can round to exactly 1.0; the

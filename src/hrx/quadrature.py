@@ -10,9 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-
 __all__ = ["QuadratureResult", "QuadratureConvergenceError", "checked_quad"]
+
+
+# scipy.integrate.quad, imported on first use: loading scipy.integrate
+# is most of `import hrx`, and most runs never integrate adaptively.
+quad = None
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,9 @@ def checked_quad(
     with the estimate attached.  `context` names the integral in the
     message.
     """
+    global quad
+    if quad is None:
+        from scipy.integrate import quad
     result = quad(integrand, lower, upper, epsabs=epsabs, epsrel=epsrel,
                   limit=200, full_output=1)
     value, abs_err, info = result[0], result[1], result[2]

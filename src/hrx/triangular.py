@@ -15,15 +15,29 @@ that b_n^4-scaled residuals are still meaningful, and exposes the
 proof-level diagnostics (the error functional Delta, the A-coefficients,
 the h_n remainder, and the tail-integral approximation of the joint
 exceedance probability).
+
+F^n is evaluated a whole row at a time (`exact_row_cdf`): u_n once per
+distinct grid value, the marginal survival once per distinct threshold,
+the joint survival once per distinct threshold pair, with every
+joint-tail pair in one batched pass.  Pairs are unordered for rho >= 0,
+where the joint survival is bitwise symmetric, and ordered for rho < 0,
+where the Genz branch is not.  The one-point functions are one-point
+rows, so each value is the same double either way.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
-from .gauss import bivariate_normal_survival, std_normal_cdf, std_normal_survival
+from .gauss import (
+    bivariate_normal_survival,
+    is_joint_tail,
+    joint_tail_survival,
+    std_normal_cdf,
+    std_normal_survival,
+)
 from .hr_core import ApproxOrder, HRParams, hr_cdf
 from .norming import NormingConstant, solve_bn, threshold
 from .quadrature import checked_quad
@@ -38,6 +52,7 @@ __all__ = [
     "ConvergenceRecord",
     "make_row",
     "exact_joint_max_cdf",
+    "exact_row_cdf",
     "delta_error",
     "a_coefficients",
     "h_n_diagnostic",
@@ -195,30 +210,75 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     return ArrayRow(n, constant, rho, lambda_n, delta_n, clipped)
 
 
-def _n_log_joint(n: int, rho: float, x: float, y: float) -> float:
-    """n * log F_rho(u_n(x), u_n(y)), with the complement assembled from
-    survival pieces so no accuracy is lost against 1."""
+def _joint_survivals(
+    pairs: Sequence[tuple[float, float]], rho: float
+) -> list[float]:
+    """P(X > h, Y > k) for every pair, evaluated once per distinct pair.
+
+    The survival is bitwise symmetric in (h, k) for rho >= 0, so (h, k)
+    and (k, h) count as one pair there; for rho < -0.925 the Genz branch
+    negates k and breaks the symmetry, so rho < 0 keeps pairs ordered.
+    Joint-tail pairs go to one batched Gauss-Laguerre pass, the rest to
+    the scalar routine.
+    """
+    symmetric = rho >= 0.0
+    keys = [(k, h) if symmetric and k < h else (h, k) for h, k in pairs]
+    joint: dict[tuple[float, float], float] = {}
+    tail = []
+    for key in keys:
+        if key in joint:
+            continue
+        if is_joint_tail(*key, rho):
+            tail.append(key)
+            joint[key] = math.nan  # filled by the batched pass below
+        else:
+            joint[key] = bivariate_normal_survival(*key, rho)
+    if tail:
+        joint.update(zip(tail, joint_tail_survival(tail, rho)))
+    return [joint[key] for key in keys]
+
+
+def _n_log_joint_row(
+    n: int, rho: float, points: Sequence[tuple[float, float]]
+) -> list[float]:
+    """n * log F_rho(u_n(x), u_n(y)) at every grid point of one row.
+
+    The complement s = 1 - F is assembled from survival pieces so no
+    accuracy is lost against 1.  u_n is formed once per distinct grid
+    value, the marginal survival once per distinct threshold and the
+    joint survival once per distinct threshold pair (unordered for
+    rho >= 0), so every value equals the one-point evaluation.
+    """
     constant = solve_bn(n)
-    u1 = threshold(constant, x)
-    u2 = threshold(constant, y)
+    u: dict[float, float] = {}
+    for point in points:
+        for v in point:
+            if v not in u:
+                u[v] = threshold(constant, v)
+    marginal = {t: std_normal_survival(t) for t in set(u.values())}
+    thresholds = [(u[x], u[y]) for x, y in points]
     if rho == 1.0:
-        s = std_normal_survival(min(u1, u2))
+        pieces = [marginal[min(u1, u2)] for u1, u2 in thresholds]
     else:
-        s = (
-            std_normal_survival(u1)
-            + std_normal_survival(u2)
-            - bivariate_normal_survival(u1, u2, rho)
-        )
-    if s >= 1.0:
-        return -math.inf
-    return n * math.log1p(-s)
+        joint = _joint_survivals(thresholds, rho)
+        pieces = [marginal[u1] + marginal[u2] - p
+                  for (u1, u2), p in zip(thresholds, joint)]
+    return [-math.inf if s >= 1.0 else n * math.log1p(-s) for s in pieces]
+
+
+def exact_row_cdf(
+    n: int, rho: float, points: Sequence[tuple[float, float]]
+) -> list[float]:
+    """F_rho^n(u_n(x), u_n(y)) at every (x, y) of one row of the array,
+    in order; each value equals `exact_joint_max_cdf` at that point."""
+    n = _check_n(n)
+    _check_rho(rho)
+    return [math.exp(v) for v in _n_log_joint_row(n, rho, points)]
 
 
 def exact_joint_max_cdf(n: int, rho: float, x: float, y: float) -> float:
     """F_rho^n(u_n(x), u_n(y)) for n iid correlated Gaussian pairs."""
-    n = _check_n(n)
-    _check_rho(rho)
-    return math.exp(_n_log_joint(n, rho, x, y))
+    return exact_row_cdf(n, rho, ((x, y),))[0]
 
 
 def delta_error(
@@ -265,7 +325,7 @@ def h_n_diagnostic(n: int, rho: float, lam: float, x: float, y: float) -> float:
         raise ValueError(f"requires finite lam > 0, got {lam}")
     half = (x - y) / (2.0 * lam)
     return (
-        _n_log_joint(n, rho, x, y)
+        _n_log_joint_row(n, rho, ((x, y),))[0]
         + std_normal_cdf(lam + half) * math.exp(-y)
         + std_normal_cdf(lam - half) * math.exp(-x)
     )

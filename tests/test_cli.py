@@ -178,6 +178,30 @@ class TestRunStudy:
         assert skipped.err_second is None
         assert skipped.n == 10**3
 
+    @pytest.mark.parametrize("spec, params", RECORD_STUDIES[:3])
+    def test_overflowing_exponential_is_skipped(self, spec, params):
+        # e^{-x} overflows below x = -709.78, where H underflows to 0
+        grid = ((-710.0, -710.0), (-710.0, 1.0), (1.0, -2000.0), (1.0, 1.0))
+        config = StudyConfig(spec, params, (100,), grid,
+                             frozenset(ApproxOrder), None)
+        records = run_study(config)
+        assert [r.skipped for r in records] == [True, True, True, False]
+        for record in records:
+            check_record(record, spec, params, config.orders)
+
+    def test_unconverged_fallback_raises(self, unconverged_quad):
+        # u_500(x) = 3 exactly: the pair (3, 3) at rho = 0.9999 fails the
+        # Gauss-Laguerre certificate, and the adaptive integral is forced
+        # to report non-convergence
+        config = StudyConfig(
+            hrx.ConstantRho(0.9999), HRParams.infinity(), (100, 500),
+            ((1.0, 1.0), (0.3506702208933126, 0.3506702208933126)),
+            frozenset(ApproxOrder), None,
+        )
+        with pytest.raises(hrx.QuadratureConvergenceError) as info:
+            run_study(config)
+        assert info.value.partial == unconverged_quad
+
     def test_deterministic(self):
         assert run_study(SMALL_CONFIG) == run_study(SMALL_CONFIG)
 
@@ -500,6 +524,37 @@ class TestMain:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_exponential_is_skipped(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "constant", "--rho", "0.5",
+                     "--n", "100", "--grid=-710,-710", "--out", str(out)]) == 0
+        assert "1 records (0 evaluated)" in capsys.readouterr().err
+        header, line = out.read_text().splitlines()
+        assert line == "100,2.3263478740408412,0.5,-710,-710" + "," * 10 + ",false"
+
+    def test_unconverged_fallback_exits_2(self, tmp_path, capsys,
+                                          unconverged_quad):
+        # a natural fallback pair, (3, 3) at rho = 0.9999, not a forced one
+        out = tmp_path / "study.csv"
+        code = main(["table", "--spec", "constant", "--rho", "0.9999",
+                     "--n", "500", "--grid", "0.3506702208933126,0.3506702208933126",
+                     "--out", str(out)])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        src = str(Path(hrx.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hrx; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_entry_point(self):
         src = str(Path(hrx.__file__).resolve().parents[1])

@@ -365,6 +365,28 @@ class TestBivariateSurvival:
         with pytest.raises(ValueError):
             bivariate_normal_survival(0.0, 0.0, r)
 
+    # A study evaluates each unordered threshold pair once for rho >= 0,
+    # so the swap must not move a single bit there: in the Genz branch
+    # (min(h, k) < 3, including the |rho| > 0.925 expansion) and in the
+    # Gauss-Laguerre tail.
+    @given(
+        st.floats(-8.0, 8.0),
+        st.floats(-8.0, 8.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_bitwise_symmetric_for_nonnegative_rho(self, h, k, r):
+        assert bivariate_normal_survival(h, k, r) == bivariate_normal_survival(
+            k, h, r)
+
+    @given(
+        st.floats(3.0, 37.0),
+        st.floats(3.0, 37.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_tail_bitwise_symmetric_for_nonnegative_rho(self, h, k, r):
+        assert bivariate_normal_survival(h, k, r) == bivariate_normal_survival(
+            k, h, r)
+
 
 class TestBivariateTail:
     """The min(h, k) >= 3 branch: certified Gauss-Laguerre, adaptive fallback."""
@@ -406,6 +428,40 @@ class TestBivariateTail:
         got = bivariate_normal_survival(3.0, 3.0, 0.9999)
         assert calls == [(3.0, 3.0, 0.9999)]
         assert rel_err(got, 0.0013248956714195714) <= 1e-13
+
+    @pytest.mark.parametrize("r", [-0.9, -0.3, 0.4, 0.94])
+    def test_batch_equals_one_pair_calls(self, r):
+        # the row evaluation batches a row's tail pairs; no value may
+        # depend on which other pairs share the numpy pass
+        pairs = [(3.0 + 0.37 * i, 3.0 + 0.53 * ((7 * i) % 23)) for i in range(40)]
+        pairs.append((45.0, 4.0))  # phi(a) underflows: 0 without a pass
+        got = gauss.joint_tail_survival(pairs, r)
+        assert got == [bivariate_normal_survival(h, k, r) for h, k in pairs]
+        assert got[-1] == 0.0
+
+    def test_batch_falls_back_per_pair(self, monkeypatch):
+        calls = []
+        adaptive = gauss._tail_survival_adaptive
+
+        def recorded(h, k, r):
+            calls.append((h, k, r))
+            return adaptive(h, k, r)
+
+        monkeypatch.setattr(gauss, "_tail_survival_adaptive", recorded)
+        pairs = [(6.0, 6.2), (3.0, 3.0), (4.0, 5.0)]
+        got = gauss.joint_tail_survival(pairs, 0.9999)
+        assert (3.0, 3.0, 0.9999) in calls
+        assert (6.0, 6.2, 0.9999) not in calls
+        calls.clear()
+        assert got == [bivariate_normal_survival(h, k, 0.9999) for h, k in pairs]
+
+    def test_branch_predicate(self):
+        assert gauss.is_joint_tail(3.0, 7.0, 0.5)
+        assert gauss.is_joint_tail(7.0, 3.0, -0.99)
+        assert not gauss.is_joint_tail(2.999, 7.0, 0.5)
+        assert not gauss.is_joint_tail(3.0, math.inf, 0.5)
+        for r in (0.0, 1.0, -1.0):
+            assert not gauss.is_joint_tail(5.0, 5.0, r)
 
     def test_unconverged_fallback_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:

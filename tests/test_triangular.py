@@ -21,6 +21,7 @@ from hrx import (
     a_coefficients,
     delta_error,
     exact_joint_max_cdf,
+    exact_row_cdf,
     h_n_diagnostic,
     lemma31_tail_approx,
     make_row,
@@ -184,6 +185,102 @@ class TestExactJointMaxCdf:
             exact_joint_max_cdf(2, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             exact_joint_max_cdf(100, 1.5, 0.0, 0.0)
+
+
+def one_point_exact(n, rho, x, y):
+    """F^n at one point, written out from the public primitives the way
+    the exact law was evaluated before rows were batched."""
+    c = solve_bn(n)
+    u1, u2 = threshold(c, x), threshold(c, y)
+    if rho == 1.0:
+        s = hrx.std_normal_survival(min(u1, u2))
+    else:
+        s = (hrx.std_normal_survival(u1) + hrx.std_normal_survival(u2)
+             - hrx.bivariate_normal_survival(u1, u2, rho))
+    return math.exp(-math.inf if s >= 1.0 else n * math.log1p(-s))
+
+
+SQUARE_GRID = [(-2.0 + 0.5 * i, -2.0 + 0.5 * j)
+               for i in range(13) for j in range(13)]
+RECTANGULAR_GRID = [(-2.0 + 0.5 * i, -1.0 + j) for i in range(13) for j in range(5)]
+# u_500(X3) is exactly 3.0
+X3 = 0.3506702208933126
+
+
+class TestExactRowCdf:
+    """One row at a time, deduplicated, must equal the point formula."""
+
+    def check_row(self, n, rho, points):
+        got = exact_row_cdf(n, rho, points)
+        assert got == [one_point_exact(n, rho, x, y) for x, y in points]
+        assert got == [exact_joint_max_cdf(n, rho, x, y) for x, y in points]
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.97, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [10, 10**3, 10**6])
+    def test_square_grid(self, n, rho):
+        self.check_row(n, rho, SQUARE_GRID)
+
+    @pytest.mark.parametrize("rho", [-0.97, -0.5, 0.5, 0.94])
+    def test_rectangular_grid(self, rho):
+        self.check_row(10**5, rho, RECTANGULAR_GRID)
+
+    def test_clipped_row(self):
+        row = make_row(SPEC, 3)
+        assert row.clipped
+        self.check_row(row.n, row.rho, SQUARE_GRID)
+
+    def test_fallback_pair(self, monkeypatch):
+        calls = []
+        adaptive = hrx.gauss._tail_survival_adaptive
+
+        def recorded(h, k, r):
+            calls.append((h, k, r))
+            return adaptive(h, k, r)
+
+        monkeypatch.setattr(hrx.gauss, "_tail_survival_adaptive", recorded)
+        assert threshold(solve_bn(500), X3) == 3.0
+        points = [(X3, X3), (X3, 1.0), (1.0, X3), (0.0, 0.0), (2.0, 2.5)]
+        got = exact_row_cdf(500, 0.9999, points)
+        assert (3.0, 3.0, 0.9999) in calls
+        assert got == [one_point_exact(500, 0.9999, x, y) for x, y in points]
+
+    @pytest.mark.parametrize("rho, joint_pairs", [(0.5, 15), (-0.5, 25)])
+    def test_evaluates_each_piece_once(self, monkeypatch, rho, joint_pairs):
+        calls = {"marginal": 0, "joint": 0, "tail passes": 0}
+        tri = hrx.triangular
+        sf = tri.std_normal_survival
+        bvn = tri.bivariate_normal_survival
+        batch = tri.joint_tail_survival
+
+        def marginal(t):
+            calls["marginal"] += 1
+            return sf(t)
+
+        def joint(h, k, r):
+            calls["joint"] += 1
+            return bvn(h, k, r)
+
+        def tail(pairs, r):
+            calls["joint"] += len(pairs)
+            calls["tail passes"] += 1
+            return batch(pairs, r)
+
+        monkeypatch.setattr(tri, "std_normal_survival", marginal)
+        monkeypatch.setattr(tri, "bivariate_normal_survival", joint)
+        monkeypatch.setattr(tri, "joint_tail_survival", tail)
+        # u_n of the first two values lies below 3, of the rest above
+        values = (-4.0, -3.0, 0.0, 2.0, 4.0)
+        exact_row_cdf(10**4, rho, [(x, y) for x in values for y in values])
+        assert calls == {"marginal": 5, "joint": joint_pairs, "tail passes": 1}
+
+    def test_empty_row(self):
+        assert exact_row_cdf(100, 0.5, []) == []
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            exact_row_cdf(2, 0.5, [(0.0, 0.0)])
+        with pytest.raises(ValueError):
+            exact_row_cdf(100, 1.5, [(0.0, 0.0)])
 
 
 class TestDeltaError:
