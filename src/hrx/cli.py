@@ -105,6 +105,9 @@ class StudyConfig:
             prev = n
         if not self.grid:
             raise ValueError("grid must be nonempty")
+        for x, y in self.grid:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"grid points must be finite, got ({x}, {y})")
         if not self.orders:
             raise ValueError("orders must be nonempty")
 
@@ -132,26 +135,24 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     records = []
     for row in rows:
         b2 = row.b.b_squared
-        # (column, b^{2k}) for each requested order k
+        # (order.value - 1, b^{2k}) for each requested order k
         wanted = [(order.value - 1, b2**order.value)
                   for order in ApproxOrder if order in config.orders]
         exact_values = iter(exact_row_cdf(row.n, row.rho, points))
         for (x, y), (h, c1, c2), keep in zip(config.grid, terms, evaluated):
-            if not keep:
-                records.append(ConvergenceRecord(
-                    row.n, row.b.b, row.rho, x, y, *[None] * 10,
-                    row.clipped, skipped=True,
-                ))
-                continue
-            exact = next(exact_values)
-            approx = approximants(h, c1, c2, b2)
-            # approx1..3, err1..3, scaled1..3; None for orders not requested
-            cells: list[float | None] = [None] * 9
-            for k, scale in wanted:
-                e = abs(exact - approx[k])
-                cells[k], cells[3 + k], cells[6 + k] = approx[k], e, e * scale
+            # (approx_k, err_k, scaled_k) per order; None where the order
+            # was not requested or the point is skipped
+            cells = [(None, None, None)] * 3
+            exact = None
+            if keep:
+                exact = next(exact_values)
+                approx = approximants(h, c1, c2, b2)
+                for k, scale in wanted:
+                    e = abs(exact - approx[k])
+                    cells[k] = (approx[k], e, e * scale)
             records.append(ConvergenceRecord(
-                row.n, row.b.b, row.rho, x, y, exact, *cells, row.clipped
+                row.n, row.b.b, row.rho, x, y, exact, *zip(*cells),
+                row.clipped,
             ))
     if config.output_path is not None:
         write_records(records, config.output_path)
@@ -170,12 +171,7 @@ _FULL_LINE = _line_format((False,) * 14)
 
 
 def _record_line(r: ConvergenceRecord) -> str:
-    values = (
-        r.b, r.rho, r.x, r.y, r.exact,
-        r.approx_first, r.approx_second, r.approx_third,
-        r.err_first, r.err_second, r.err_third,
-        r.scaled_first, r.scaled_second, r.scaled_third,
-    )
+    values = (r.b, r.rho, r.x, r.y, r.exact, *r.approx, *r.err, *r.scaled)
     line = _FULL_LINE
     if None in values:
         line = _line_format(tuple(v is None for v in values))
@@ -196,10 +192,6 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
         raise OSError(f"cannot write study output to {path!r}: {exc}") from exc
 
 
-def _parse_opt_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
-
-
 def read_records(path: str) -> list[ConvergenceRecord]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as stream:
@@ -211,16 +203,13 @@ def read_records(path: str) -> list[ConvergenceRecord]:
             for cells in reader:
                 if len(cells) != len(_CSV_HEADER):
                     raise ValueError(f"{path!r}: malformed row {cells!r}")
-                exact = _parse_opt_float(cells[5])
+                # exact, approx1..3, err1..3, scaled1..3; "" is None
+                v = [None if c == "" else float(c) for c in cells[5:15]]
                 records.append(ConvergenceRecord(
                     int(cells[0]), float(cells[1]), float(cells[2]),
-                    float(cells[3]), float(cells[4]), exact,
-                    _parse_opt_float(cells[6]), _parse_opt_float(cells[7]),
-                    _parse_opt_float(cells[8]), _parse_opt_float(cells[9]),
-                    _parse_opt_float(cells[10]), _parse_opt_float(cells[11]),
-                    _parse_opt_float(cells[12]), _parse_opt_float(cells[13]),
-                    _parse_opt_float(cells[14]),
-                    cells[15] == "true", skipped=exact is None,
+                    float(cells[3]), float(cells[4]),
+                    v[0], tuple(v[1:4]), tuple(v[4:7]), tuple(v[7:10]),
+                    cells[15] == "true",
                 ))
             return records
     except OSError as exc:
@@ -234,8 +223,9 @@ def fit_rate(records: Sequence[ConvergenceRecord], order: ApproxOrder) -> RateFi
     (ties go to the first seen).  Needs >= 3 usable records there.
     """
     groups: dict[tuple[float, float], list[ConvergenceRecord]] = {}
+    k = order.value - 1
     for record in records:
-        e = record.err(order)
+        e = record.err[k]
         if record.skipped or e is None or not math.isfinite(e) or e <= 0.0:
             continue
         groups.setdefault((record.x, record.y), []).append(record)
@@ -249,7 +239,7 @@ def fit_rate(records: Sequence[ConvergenceRecord], order: ApproxOrder) -> RateFi
             f"{point} has {len(chosen)}"
         )
     xs = np.array([2.0 * math.log(r.b) for r in chosen])
-    ys = np.array([math.log(r.err(order)) for r in chosen])
+    ys = np.array([math.log(r.err[k]) for r in chosen])
     slope, intercept = np.polyfit(xs, ys, 1)
     residuals = ys - (slope * xs + intercept)
     ss_res = float(np.sum(residuals**2))

@@ -53,6 +53,7 @@ __all__ = [
     "std_normal_quantile",
     "bivariate_normal_cdf",
     "bivariate_normal_survival",
+    "check_rho",
     "is_joint_tail",
     "joint_tail_survival",
 ]
@@ -284,14 +285,15 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
     return max(bvn, 0.0)
 
 
-def _check_rho(rho: float) -> None:
+def check_rho(rho: float) -> None:
+    """The one check of a correlation: rho in [-1, 1] (NaN fails)."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
 
 
 def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho."""
-    _check_rho(rho)
+    check_rho(rho)
     if h == -math.inf or k == -math.inf:
         return 0.0
     if h == math.inf:
@@ -553,7 +555,7 @@ def _tail_survival_adaptive(h: float, k: float, rho: float) -> float:
 
 def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
     """P(X > h, Y > k) with cancellation control in the joint tail."""
-    _check_rho(rho)
+    check_rho(rho)
     if is_joint_tail(h, k, rho):
         return joint_tail_survival(((h, k),), rho)[0]
     if h == math.inf or k == math.inf:

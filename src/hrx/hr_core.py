@@ -46,12 +46,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gauss import std_normal_cdf, std_normal_pdf, std_normal_survival
-from .norming import solve_bn
+from .norming import check_n, solve_bn
 
 __all__ = [
     "LambdaRegime",
     "HRParams",
     "ApproxOrder",
+    "check_lam",
     "gumbel_cdf",
     "hr_cdf",
     "s_term",
@@ -137,6 +138,12 @@ class HRParams:
         return cls(LambdaRegime.FINITE, float(lam), float(alpha), float(beta))
 
 
+def check_lam(lam: float) -> None:
+    """The one check of an interior limit parameter: finite lam > 0."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"requires finite lam > 0, got {lam}")
+
+
 def _exp_neg(x: float) -> float:
     """e^{-x}, or inf where it overflows (x below about -709.78)."""
     try:
@@ -206,7 +213,12 @@ def approximants(
     h: float, c1: float, c2: float, b2: float
 ) -> tuple[float, float, float]:
     """First-, second- and third-order approximants H, H (1 + c1/b2) and
-    H (1 + c1/b2 + c2/b2^2); the last two are clamped to [0, 1]."""
+    H (1 + c1/b2 + c2/b2^2); the last two are clamped to [0, 1].
+
+    H = 0 gives zeros: where e^{-x} overflows, H is 0 but c1 and c2 are
+    infinite or NaN, and 0 * inf would be NaN."""
+    if h == 0.0:
+        return 0.0, 0.0, 0.0
     value = 1.0 + c1 / b2
     second = min(max(h * value, 0.0), 1.0)
     value += c2 / (b2 * b2)
@@ -215,9 +227,7 @@ def approximants(
 
 def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:
     """Expansion of Phi^n(u_n(x)) about Lambda(x), truncated per order."""
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
+    n = check_n(n)
     if order is ApproxOrder.FIRST:
         return gumbel_cdf(x)
     b2 = solve_bn(n).b_squared
@@ -379,8 +389,7 @@ def _tau(alpha: float, beta: float, p: _Point) -> float:
 
 
 def _checked_point(lam: float, x: float, y: float) -> _Point:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"requires finite lam > 0, got {lam}")
+    check_lam(lam)
     return _point(lam, x, y)
 
 
@@ -479,9 +488,7 @@ def hr_approx(
     n: int, params: HRParams, x: float, y: float, order: ApproxOrder
 ) -> float:
     """Ordered approximant H (1 + c1/b_n^2 [+ c2/b_n^4]) of F^n(u_n(x), u_n(y))."""
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
+    n = check_n(n)
     if order is ApproxOrder.FIRST:
         return hr_cdf(params, x, y)
     b2 = solve_bn(n).b_squared

@@ -28,6 +28,7 @@ from .gauss import std_normal_pdf, std_normal_survival
 
 __all__ = [
     "NormingConstant",
+    "check_n",
     "solve_bn",
     "threshold",
     "bn_expansion_residual",
@@ -44,6 +45,14 @@ class NormingConstant:
     @property
     def b_squared(self) -> float:
         return self.b * self.b
+
+
+def check_n(n: int) -> int:
+    """The one check of a row size: an integer n >= 3, so that b_n > 0."""
+    n = operator.index(n)
+    if n < 3:
+        raise ValueError(f"requires n >= 3, got {n}")
+    return n
 
 
 def _initial_guess(n: int) -> float:

@@ -15,9 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .gauss import std_normal_pdf
-from .norming import solve_bn, threshold
-from .quadrature import QuadratureConvergenceError, QuadratureResult
+from .gauss import check_rho, std_normal_pdf
+from .norming import check_n, solve_bn, threshold
+from .quadrature import (
+    QuadratureConvergenceError,
+    QuadratureResult,
+    checked_quad,
+)
 
 __all__ = [
     "QuadratureResult",
@@ -35,11 +39,11 @@ def quad_semi_infinite(
 
     Assumes eventual exponential decay (every integral in this package
     has an explicit e^{-z} factor); deterministic for identical inputs.
+    Asks `checked_quad` for tol/10 absolute or 1e-12 relative, and
+    raises QuadratureConvergenceError where it flags a miss of both.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    # imported here so that `import hrx` does not load scipy.integrate
-    from scipy.integrate import quad
 
     def transformed(u: float) -> float:
         # A subdivided Gauss-Kronrod node can round to exactly 1.0; the
@@ -49,14 +53,8 @@ def quad_semi_infinite(
         z = lower - math.log1p(-u)
         return integrand(z) / (1.0 - u)
 
-    result = quad(transformed, 0.0, 1.0, epsabs=0.1 * tol, epsrel=1e-12,
-                  limit=200, full_output=1)
-    value, abs_err = result[0], result[1]
-    evaluations = int(result[2]["neval"])
-    out = QuadratureResult(float(value), float(abs_err), evaluations)
-    if len(result) > 3 and abs_err > tol:
-        raise QuadratureConvergenceError(str(result[3]), out)
-    return out
+    return checked_quad(transformed, 0.0, 1.0, 0.1 * tol, 1e-12,
+                        f"integral over [{lower!r}, inf)")
 
 
 def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
@@ -82,14 +80,11 @@ def mc_triangular_maxima(
     from an explicitly seeded generator, so results are reproducible.
     Returns (estimate, binomial standard error).
     """
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError(f"thresholds need n >= 3, got {n}")
+    n = check_n(n)
     trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"requires trials >= 1, got {trials}")
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    check_rho(rho)
     constant = solve_bn(n)
     u1 = threshold(constant, x)
     u2 = threshold(constant, y)

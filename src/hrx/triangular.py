@@ -27,19 +27,19 @@ rows, so each value is the same double either way.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .gauss import (
     bivariate_normal_survival,
+    check_rho,
     is_joint_tail,
     joint_tail_survival,
     std_normal_cdf,
     std_normal_survival,
 )
-from .hr_core import ApproxOrder, HRParams, hr_cdf
-from .norming import NormingConstant, solve_bn, threshold
+from .hr_core import ApproxOrder, HRParams, check_lam, hr_cdf
+from .norming import NormingConstant, check_n, solve_bn, threshold
 from .quadrature import checked_quad
 
 __all__ = [
@@ -67,8 +67,7 @@ class ConstantRho:
     rho: float
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+        check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ class ThirdOrderHR:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"requires finite lam > 0, got {self.lam}")
+        check_lam(self.lam)
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,11 @@ class ArrayRow:
 class ConvergenceRecord:
     """Exact-vs-approximant comparison at one (n, x, y).
 
-    Orders not requested carry None; err_k = |exact - approx_k| and
-    scaled_k = b^{2k} err_k.  A point where the limit distribution
-    underflows is recorded with skipped=True and null values.
+    approx, err and scaled are 3-tuples indexed by order.value - 1:
+    approx_k, err_k = |exact - approx_k| and scaled_k = b^{2k} err_k,
+    None for an order not requested.  A point where the limit
+    distribution underflows is skipped: exact and every per-order value
+    are None.
     """
 
     n: int
@@ -136,36 +136,14 @@ class ConvergenceRecord:
     x: float
     y: float
     exact: float | None
-    approx_first: float | None
-    approx_second: float | None
-    approx_third: float | None
-    err_first: float | None
-    err_second: float | None
-    err_third: float | None
-    scaled_first: float | None
-    scaled_second: float | None
-    scaled_third: float | None
+    approx: tuple[float | None, ...]
+    err: tuple[float | None, ...]
+    scaled: tuple[float | None, ...]
     clipped: bool
-    skipped: bool = False
 
-    def err(self, order: ApproxOrder) -> float | None:
-        return {
-            ApproxOrder.FIRST: self.err_first,
-            ApproxOrder.SECOND: self.err_second,
-            ApproxOrder.THIRD: self.err_third,
-        }[order]
-
-
-def _check_n(n: int) -> int:
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
-    return n
-
-
-def _check_rho(rho: float) -> None:
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    @property
+    def skipped(self) -> bool:
+        return self.exact is None
 
 
 def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
@@ -174,7 +152,7 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     Out-of-range raw correlations (possible for aggressive specs at
     small n) are clipped to [-1, 1] and flagged rather than rejected.
     """
-    n = _check_n(n)
+    n = check_n(n)
     constant = solve_bn(n)
     b2 = constant.b_squared
 
@@ -271,8 +249,8 @@ def exact_row_cdf(
 ) -> list[float]:
     """F_rho^n(u_n(x), u_n(y)) at every (x, y) of one row of the array,
     in order; each value equals `exact_joint_max_cdf` at that point."""
-    n = _check_n(n)
-    _check_rho(rho)
+    n = check_n(n)
+    check_rho(rho)
     return [math.exp(v) for v in _n_log_joint_row(n, rho, points)]
 
 
@@ -297,8 +275,7 @@ def a_coefficients(row: ArrayRow, lam: float) -> tuple[float, float, float]:
 
     Converge to alpha - lam^3/2, -alpha/(2 lam^2) - lam/4 and lam along
     a refined sequence."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"requires finite lam > 0, got {lam}")
+    check_lam(lam)
     lam_n = row.lambda_n
     b2 = row.b.b_squared
     if lam_n <= 0.0:
@@ -319,10 +296,9 @@ def h_n_diagnostic(n: int, rho: float, lam: float, x: float, y: float) -> float:
 
     Vanishes as n grows along a matching sequence; b_n^2 h_n tends to
     the second-order coefficient kappa, and exp(h_n) = F^n / H."""
-    n = _check_n(n)
-    _check_rho(rho)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"requires finite lam > 0, got {lam}")
+    n = check_n(n)
+    check_rho(rho)
+    check_lam(lam)
     half = (x - y) / (2.0 * lam)
     return (
         _n_log_joint_row(n, rho, ((x, y),))[0]
@@ -340,7 +316,7 @@ def lemma31_tail_approx(
     expansion, leaving n Phibar(u_n(y)) minus an explicit integral whose
     weight is 1 + (1 - z^2/2)/b^2 (order Second) plus
     (z^4/8 - z^2/2 - 2)/b^4 (order Third)."""
-    n = _check_n(n)
+    n = check_n(n)
     if not -1.0 < rho < 1.0:
         raise ValueError(f"requires |rho| < 1, got {rho}")
     if order is ApproxOrder.FIRST:

@@ -160,7 +160,7 @@ def test_criterion_05_third_order_error_decreases(x, criterion, third_order_stud
     # b^4-scaled third-order error must come down across the sweep; the
     # approach is not monotone decade to decade, so endpoints are compared
     vals = [
-        r.err_third * (r.b * r.b) ** 2
+        r.err[2] * (r.b * r.b) ** 2
         for r in third_order_study
         if r.x == x and r.y == x
     ]

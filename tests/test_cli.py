@@ -42,9 +42,9 @@ SMALL_CONFIG = StudyConfig(
 def synthetic_record(n, b, x, y, err1, err2=None):
     return ConvergenceRecord(
         n, b, 0.5, x, y, 0.5,
-        0.5, None, None,
-        err1, err2, None,
-        None, None, None,
+        (0.5, None, None),
+        (err1, err2, None),
+        (None, None, None),
         False,
     )
 
@@ -85,19 +85,13 @@ def check_record(record, spec, params, orders):
     if record.skipped:
         assert hrx.hr_cdf(params, x, y) < 1e-300
         assert record.exact is None
-        for order in ApproxOrder:
-            name = order.name.lower()
-            assert getattr(record, f"approx_{name}") is None
-            assert getattr(record, f"err_{name}") is None
-            assert getattr(record, f"scaled_{name}") is None
+        assert record.approx == record.err == record.scaled == (None,) * 3
         return
     assert record.exact == hrx.exact_joint_max_cdf(record.n, record.rho, x, y)
     b2 = row.b.b_squared
     for order in ApproxOrder:
-        name = order.name.lower()
-        approx = getattr(record, f"approx_{name}")
-        err = getattr(record, f"err_{name}")
-        scaled = getattr(record, f"scaled_{name}")
+        k = order.value - 1
+        approx, err, scaled = record.approx[k], record.err[k], record.scaled[k]
         if order not in orders:
             assert approx is None and err is None and scaled is None
             continue
@@ -120,6 +114,14 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (1000, 100),
                         ((0.0, 0.0),), frozenset(ApproxOrder))
+
+    @pytest.mark.parametrize("point", [
+        (math.nan, 0.0), (0.0, math.inf), (-math.inf, -math.inf),
+    ])
+    def test_rejects_non_finite_grid(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (100,),
+                        ((0.0, 0.0), point), frozenset(ApproxOrder))
 
     def test_rejects_empty_grid_or_orders(self):
         with pytest.raises(ValueError):
@@ -160,11 +162,11 @@ class TestRunStudy:
             ((1.0, 1.0),), frozenset({ApproxOrder.SECOND}), None,
         )
         record = run_study(config)[0]
-        assert record.approx_first is None
-        assert record.err_first is None
-        assert record.approx_third is None
-        assert record.approx_second is not None
-        assert record.err(ApproxOrder.SECOND) == record.err_second
+        assert record.approx[0] is None
+        assert record.err[0] is None
+        assert record.approx[2] is None
+        assert record.approx[1] is not None
+        assert record.err[1] is not None
 
     def test_underflowed_limit_is_skipped(self):
         config = StudyConfig(
@@ -175,7 +177,7 @@ class TestRunStudy:
         assert not normal.skipped
         assert skipped.skipped
         assert skipped.exact is None
-        assert skipped.err_second is None
+        assert skipped.err[1] is None
         assert skipped.n == 10**3
 
     @pytest.mark.parametrize("spec, params", RECORD_STUDIES[:3])
@@ -574,6 +576,19 @@ class TestMain:
               "--n", "100,1000,10000", "--grid", "0,0", "--out", out])
         assert main(["rate", out, "--order", "fourth"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", ["nan,nan", "inf,inf", "0,-inf"])
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys, grid):
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "constant", "--rho", "0.5",
+                     "--n", "100", f"--grid={grid}", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_unconverged_quadrature_exits_2(self, capsys,
+                                                   unconverged_quad):
+        assert main(["verify"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

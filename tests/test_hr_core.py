@@ -199,7 +199,7 @@ class TestUnivariateCoefficients:
         ]
         assert errs[2] < errs[1] < errs[0]
 
-    def test_gumbel_approx_first_is_limit(self):
+    def test_gumbel_approx_order_one_is_limit(self):
         assert univariate_gumbel_approx(10, 0.7, ApproxOrder.FIRST) == gumbel_cdf(
             0.7
         )
@@ -211,6 +211,11 @@ class TestUnivariateCoefficients:
     def test_gumbel_approx_domain(self):
         with pytest.raises(ValueError):
             univariate_gumbel_approx(2, 0.0, ApproxOrder.SECOND)
+
+    @pytest.mark.parametrize("order", [ApproxOrder.SECOND, ApproxOrder.THIRD])
+    def test_gumbel_approx_where_exp_overflows(self, order):
+        # Lambda(-710) is 0 while s and t overflow; 0 * inf gave NaN
+        assert univariate_gumbel_approx(100, -710.0, order) == 0.0
 
 
 class TestKappa:
@@ -485,3 +490,12 @@ class TestHrApprox:
     def test_domain(self):
         with pytest.raises(ValueError):
             hr_approx(2, HRParams.zero(), 0.0, 0.0, ApproxOrder.FIRST)
+
+    @pytest.mark.parametrize("params", [
+        HRParams.zero(), HRParams.finite(1.0, 2.0, 5.0), HRParams.infinity(),
+    ])
+    @pytest.mark.parametrize("y", [-710.0, 1.0])
+    def test_zero_where_exp_overflows(self, params, y):
+        # H is 0 below x = -709.78 while kappa and tau are inf or NaN
+        for order in ApproxOrder:
+            assert hr_approx(100, params, -710.0, y, order) == 0.0

@@ -55,6 +55,11 @@ class TestQuadSemiInfinite:
         assert isinstance(partial, QuadratureResult)
         assert partial.abs_error_estimate > 1e-10
 
+    def test_missed_tolerance_raises(self, unconverged_quad):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            quad_semi_infinite(lambda z: math.exp(-z), 0.0, 1e-10)
+        assert info.value.partial == unconverged_quad
+
 
 class TestCheckedQuad:
     def test_flag_with_estimate_in_tolerance_is_kept(self, monkeypatch):

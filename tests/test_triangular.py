@@ -406,3 +406,57 @@ class TestLemma31TailApprox:
             lemma31_tail_approx(10**4, 0.5, 0.0, 0.0, ApproxOrder.FIRST)
         with pytest.raises(ValueError):
             lemma31_tail_approx(2, 0.5, 0.0, 0.0, ApproxOrder.SECOND)
+
+
+class TestOneCheckPerInput:
+    # n, rho and lam are each checked in one place, so every entry point
+    # rejects the same inputs with the same message
+    N_CALLS = {
+        "make_row": lambda n: make_row(ConstantRho(0.5), n),
+        "exact_row_cdf": lambda n: exact_row_cdf(n, 0.5, ((0.0, 0.0),)),
+        "h_n_diagnostic": lambda n: h_n_diagnostic(n, 0.5, 1.0, 0.0, 0.0),
+        "lemma31": lambda n: lemma31_tail_approx(n, 0.5, 0.0, 0.0,
+                                                 ApproxOrder.SECOND),
+        "hr_approx": lambda n: hrx.hr_approx(n, HRParams.zero(), 0.0, 0.0,
+                                             ApproxOrder.FIRST),
+        "gumbel_approx": lambda n: hrx.univariate_gumbel_approx(
+            n, 0.0, ApproxOrder.SECOND),
+        "mc": lambda n: hrx.mc_triangular_maxima(n, 0.5, 0.0, 0.0, 1, 0),
+    }
+    RHO_CALLS = {
+        "ConstantRho": ConstantRho,
+        "exact_row_cdf": lambda rho: exact_row_cdf(10, rho, ((0.0, 0.0),)),
+        "h_n_diagnostic": lambda rho: h_n_diagnostic(10, rho, 1.0, 0.0, 0.0),
+        "bvn_survival": lambda rho: hrx.bivariate_normal_survival(0.0, 0.0,
+                                                                  rho),
+        "bvn_cdf": lambda rho: hrx.bivariate_normal_cdf(0.0, 0.0, rho),
+        "mc": lambda rho: hrx.mc_triangular_maxima(10, rho, 0.0, 0.0, 1, 0),
+    }
+    LAM_CALLS = {
+        "ThirdOrderHR": ThirdOrderHR,
+        "a_coefficients": lambda lam: a_coefficients(
+            make_row(ThirdOrderHR(1.0), 100), lam),
+        "h_n_diagnostic": lambda lam: h_n_diagnostic(10, 0.5, lam, 0.0, 0.0),
+        "kappa": lambda lam: hrx.kappa(0.0, lam, 0.0, 0.0),
+        "tau": lambda lam: hrx.tau(0.0, 0.0, lam, 0.0, 0.0),
+        "I_closed": lambda lam: hrx.I_closed(0, lam, 0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("call", list(N_CALLS.values()), ids=list(N_CALLS))
+    def test_n(self, call):
+        with pytest.raises(ValueError, match=r"^requires n >= 3, got 2$"):
+            call(2)
+
+    @pytest.mark.parametrize("call", list(RHO_CALLS.values()),
+                             ids=list(RHO_CALLS))
+    @pytest.mark.parametrize("rho", [1.5, math.nan])
+    def test_rho(self, call, rho):
+        with pytest.raises(ValueError, match=r"^correlation must lie in "):
+            call(rho)
+
+    @pytest.mark.parametrize("call", list(LAM_CALLS.values()),
+                             ids=list(LAM_CALLS))
+    @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
+    def test_lam(self, call, lam):
+        with pytest.raises(ValueError, match=r"^requires finite lam > 0, "):
+            call(lam)
