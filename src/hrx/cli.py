@@ -19,7 +19,6 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from .hr_core import (
     hr_expansion,
     tau3,
 )
-from .norming import solve_bn
+from .norming import check_n, solve_bn
 from .oracle import (
     I_k_quadrature,
     QuadratureConvergenceError,
@@ -84,22 +83,20 @@ _ORDER_TOKENS = {
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Declarative description of one convergence study."""
+    """One convergence study: a correlation sequence, its n values and
+    the grid.  The limit is the one the sequence fixes (`spec.params`),
+    and every study compares against all three truncations."""
 
     spec: RhoSequenceSpec
-    params: HRParams
     n_values: tuple[int, ...]
     grid: tuple[tuple[float, float], ...]
-    orders: frozenset[ApproxOrder]
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         prev = None
         for n in self.n_values:
-            if n < 3:
-                raise ValueError(f"every n must be >= 3, got {n}")
+            check_n(n)
             if prev is not None and n <= prev:
                 raise ValueError("n_values must be strictly increasing")
             prev = n
@@ -108,8 +105,6 @@ class StudyConfig:
         for x, y in self.grid:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"grid points must be finite, got ({x}, {y})")
-        if not self.orders:
-            raise ValueError("orders must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -125,58 +120,45 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     H, kappa and tau do not depend on n: they are evaluated once per grid
     point and every row combines them with its own b_n^2.  The exact
     F^n is one `exact_row_cdf` call per row over the points whose H is
-    above the floor.  Writes the CSV to config.output_path when set
-    ("-" means stdout).
+    above the floor.
     """
     rows = [make_row(config.spec, n) for n in config.n_values]
-    terms = [hr_expansion(config.params, x, y) for x, y in config.grid]
+    params = config.spec.params
+    terms = [hr_expansion(params, x, y) for x, y in config.grid]
     evaluated = [not h < _H_FLOOR for h, _, _ in terms]
     points = [p for p, keep in zip(config.grid, evaluated) if keep]
     records = []
     for row in rows:
         b2 = row.b.b_squared
-        # (order.value - 1, b^{2k}) for each requested order k
-        wanted = [(order.value - 1, b2**order.value)
-                  for order in ApproxOrder if order in config.orders]
+        b4, b6 = b2**2, b2**3
         exact_values = iter(exact_row_cdf(row.n, row.rho, points))
         for (x, y), (h, c1, c2), keep in zip(config.grid, terms, evaluated):
-            # (approx_k, err_k, scaled_k) per order; None where the order
-            # was not requested or the point is skipped
-            cells = [(None, None, None)] * 3
-            exact = None
             if keep:
                 exact = next(exact_values)
-                approx = approximants(h, c1, c2, b2)
-                for k, scale in wanted:
-                    e = abs(exact - approx[k])
-                    cells[k] = (approx[k], e, e * scale)
+                a1, a2, a3 = approx = approximants(h, c1, c2, b2)
+                e1, e2, e3 = abs(exact - a1), abs(exact - a2), abs(exact - a3)
+                cells = approx, (e1, e2, e3), (e1 * b2, e2 * b4, e3 * b6)
+            else:
+                exact, cells = None, ((None, None, None),) * 3
             records.append(ConvergenceRecord(
-                row.n, row.b.b, row.rho, x, y, exact, *zip(*cells),
-                row.clipped,
+                row.n, row.b.b, row.rho, x, y, exact, *cells, row.clipped,
             ))
-    if config.output_path is not None:
-        write_records(records, config.output_path)
     return records
 
 
-@lru_cache(maxsize=None)
-def _line_format(empty: tuple[bool, ...]) -> str:
-    """printf format of one CSV line: n, the 14 value cells at 17
-    significant digits (blank where `empty`), clipped."""
-    cells = ("" if blank else "%.17g" for blank in empty)
-    return ",".join(["%s", *cells, "%s"]) + "\n"
-
-
-_FULL_LINE = _line_format((False,) * 14)
+# printf formats of the two CSV line shapes: n, b_n, rho_n, x, y, then
+# the 10 value cells at 17 significant digits (blank for a skipped
+# point), then clipped
+_EVALUATED_LINE = "%s," + ",".join(["%.17g"] * 14) + ",%s\n"
+_SKIPPED_LINE = "%s," + ",".join(["%.17g"] * 4) + "," * 11 + "%s\n"
 
 
 def _record_line(r: ConvergenceRecord) -> str:
-    values = (r.b, r.rho, r.x, r.y, r.exact, *r.approx, *r.err, *r.scaled)
-    line = _FULL_LINE
-    if None in values:
-        line = _line_format(tuple(v is None for v in values))
-        values = tuple(v for v in values if v is not None)
-    return line % (r.n, *values, "true" if r.clipped else "false")
+    clipped = "true" if r.clipped else "false"
+    if r.skipped:
+        return _SKIPPED_LINE % (r.n, r.b, r.rho, r.x, r.y, clipped)
+    return _EVALUATED_LINE % (r.n, r.b, r.rho, r.x, r.y, r.exact,
+                              *r.approx, *r.err, *r.scaled, clipped)
 
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
@@ -309,18 +291,6 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
-def _parse_orders(text: str) -> frozenset[ApproxOrder]:
-    orders = set()
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in _ORDER_TOKENS:
-            raise ValueError(f"unknown order {token!r}")
-        orders.add(_ORDER_TOKENS[token])
-    return frozenset(orders)
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     options: dict[str, str] = {}
     try:
@@ -358,42 +328,32 @@ def _require(options: dict[str, str], key: str, spec_name: str) -> str:
     return options[key]
 
 
-def _build_spec_and_params(options: dict[str, str]) -> tuple[RhoSequenceSpec, HRParams]:
+def _build_spec(options: dict[str, str]) -> RhoSequenceSpec:
     kind_raw = _require(options, "spec", "<any>").strip().lower()
     if kind_raw not in _SPEC_ALIASES:
         raise ValueError(f"unknown spec kind {kind_raw!r}")
     kind = _SPEC_ALIASES[kind_raw]
     if kind == "constant":
-        rho = float(_require(options, "rho", kind))
-        spec: RhoSequenceSpec = ConstantRho(rho)
-        # Fixed rho < 1 sends lam_n to infinity; rho = 1 pins it at 0.
-        params = HRParams.zero() if rho == 1.0 else HRParams.infinity()
-    elif kind == "third-order":
-        lam = float(_require(options, "lambda", kind))
-        alpha = float(options.get("alpha", "0"))
-        beta = float(options.get("beta", "0"))
-        spec = ThirdOrderHR(lam, alpha, beta)
-        params = HRParams.finite(lam, alpha, beta)
-    elif kind == "corollary-infinity":
-        spec = CorollaryInfinity(float(_require(options, "gamma", kind)))
-        params = HRParams.infinity()
-    else:
-        spec = CorollaryZero(float(_require(options, "tau_rate", kind)))
-        params = HRParams.zero()
-    return spec, params
+        return ConstantRho(float(_require(options, "rho", kind)))
+    if kind == "third-order":
+        return ThirdOrderHR(
+            float(_require(options, "lambda", kind)),
+            float(options.get("alpha", "0")),
+            float(options.get("beta", "0")),
+        )
+    if kind == "corollary-infinity":
+        return CorollaryInfinity(float(_require(options, "gamma", kind)))
+    return CorollaryZero(float(_require(options, "tau_rate", kind)))
 
 
 def build_study_config(options: dict[str, str]) -> StudyConfig:
-    spec, params = _build_spec_and_params(options)
+    spec = _build_spec(options)
     if "n" not in options:
         raise ValueError("a study requires n values (key 'n' or flag --n)")
     if "grid" not in options:
         raise ValueError("a study requires a grid (key 'grid' or flag --grid)")
-    n_values = _parse_n_values(options["n"])
-    grid = _parse_grid(options["grid"])
-    orders = _parse_orders(options.get("orders", "1,2,3"))
     return StudyConfig(
-        spec, params, n_values, grid, orders, options.get("out", "-")
+        spec, _parse_n_values(options["n"]), _parse_grid(options["grid"])
     )
 
 
@@ -496,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--tau-rate", help="corollary-zero rate")
     table.add_argument("--n", help="comma list, or a:b:step in log10")
     table.add_argument("--grid", help="x=a:b:step[,y=a:b:step] or x,y;x,y;...")
-    table.add_argument("--orders", help="subset of 1,2,3 (default all)")
     table.add_argument("--out", help="output CSV path, - for stdout")
 
     rate = sub.add_parser("rate", help="fit log err_k vs log b^2 from a CSV")
@@ -512,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _TABLE_KEYS = ("spec", "rho", "lam", "alpha", "beta", "gamma",
-               "tau_rate", "n", "grid", "orders", "out")
+               "tau_rate", "n", "grid", "out")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -523,13 +482,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         value = getattr(args, key, None)
         if value is not None:
             options["lambda" if key == "lam" else key] = value
-    config = build_study_config(options)
-    records = run_study(config)
-    if config.output_path != "-":
+    records = run_study(build_study_config(options))
+    out = options.get("out", "-")
+    write_records(records, out)
+    if out != "-":
         emitted = sum(1 for r in records if not r.skipped)
         print(
-            f"wrote {len(records)} records ({emitted} evaluated) "
-            f"to {config.output_path}",
+            f"wrote {len(records)} records ({emitted} evaluated) to {out}",
             file=sys.stderr,
         )
     return 0

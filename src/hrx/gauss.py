@@ -23,11 +23,11 @@ rules, with a dedicated branch for |rho| > 0.925); its absolute error
 is below 5e-16.  The bivariate survival adds a conditioning-integral
 branch for deep joint tails (min(h, k) >= 3), where absolute accuracy is
 not enough: a fixed 64-node Gauss-Laguerre rule, certified by agreeing
-with a 48-node rule to 1e-14 relative, and an adaptive integral as the
-fallback that raises QuadratureConvergenceError rather than return an
-unconverged value.  Against 50-digit references it holds relative 1e-13
-for h, k in [3, 37] and rho in [-0.98, 0.9999] wherever the value is a
-normal double.
+with a 48-node rule to 1e-14 relative (or by both values lying below the
+normal range), and an adaptive integral as the fallback that raises
+QuadratureConvergenceError rather than return an unconverged value.
+Against 50-digit references it holds relative 1e-13 for h, k in [3, 37]
+and rho in [-0.98, 0.9999] wherever the value is a normal double.
 
 `joint_tail_survival` is that rule over arrays: all tail pairs of one
 rho in one numpy pass, each value bitwise equal to the one-pair call
@@ -39,6 +39,7 @@ rely on both facts to evaluate each threshold pair once.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -479,9 +480,10 @@ def joint_tail_survival(
     accuracy down to underflow.  lam = a matches e^{-v} to the decay of
     phi; for rho < 0 the survival factor decays too, at rate ~ -rho*x0/s,
     and lam adds it so that g stays smooth.  The 64- and 48-node
-    Gauss-Laguerre values of the integral must agree to 1e-14 relative;
-    where they do not (the sharp edge of g as rho -> 1) the adaptive
-    integral decides that pair.
+    Gauss-Laguerre values of the integral must agree to 1e-14 relative,
+    or both give a value below the smallest normal double, where no
+    relative contract applies; elsewhere (the sharp edge of g as
+    rho -> 1) the adaptive integral decides that pair.
 
     All pairs go through one (pairs x 112 nodes) numpy pass.  Only
     elementwise IEEE operations and per-row sums act across pairs, and
@@ -521,8 +523,12 @@ def joint_tail_survival(
     # BLAS is linked, and no BLAS work buffer in peak memory
     sums = (_LAG_WEIGHTS * g[:, None, :]).sum(axis=2)
     i64, i48 = sums[:, 0], sums[:, 1]
-    certified = np.abs(i64 - i48) <= _TAIL_CERTIFICATE_RTOL * i64
-    values = scale[live] * i64
+    scale = scale[live]
+    # below the smallest normal double no relative contract applies, and
+    # QUADPACK returns 0 there anyway
+    certified = ((np.abs(i64 - i48) <= _TAIL_CERTIFICATE_RTOL * i64)
+                 | (scale * np.maximum(i64, i48) < sys.float_info.min))
+    values = scale * i64
     for j, i in enumerate(live.tolist()):
         if certified[j]:
             out[i] = float(values[j])

@@ -108,10 +108,9 @@ class HRParams:
 
     def __post_init__(self) -> None:
         if self.regime is LambdaRegime.FINITE:
-            if self.lam is None or not math.isfinite(self.lam) or self.lam <= 0:
-                raise ValueError(
-                    f"finite regime requires 0 < lam < inf, got {self.lam}"
-                )
+            if self.lam is None:
+                raise ValueError("finite regime requires lam")
+            check_lam(self.lam)
         else:
             if self.lam is not None:
                 raise ValueError(
@@ -150,6 +149,15 @@ def _exp_neg(x: float) -> float:
         return math.exp(-x)
     except OverflowError:
         return math.inf
+
+
+def _weighted(poly: float, w1: float, w2: float = 1.0) -> float:
+    """poly * w1 * w2 for exponential weights w1, w2, or 0 where a weight
+    is 0: far out in x or y the weight underflows while poly overflows,
+    and 0 * inf would be NaN."""
+    if w1 == 0.0 or w2 == 0.0:
+        return 0.0
+    return poly * w1 * w2
 
 
 def gumbel_cdf(x: float) -> float:
@@ -195,12 +203,13 @@ def hr_cdf(params: HRParams, x: float, y: float) -> float:
 
 def s_term(x: float) -> float:
     """s(x) = (x^2 + 2x) e^{-x} / 2, the second-order univariate piece."""
-    return 0.5 * (x * x + 2.0 * x) * _exp_neg(x)
+    return _weighted(0.5 * (x * x + 2.0 * x), _exp_neg(x))
 
 
 def t_term(x: float) -> float:
     """t(x) = -(x^4 + 4x^3 + 8x^2 + 16x) e^{-x} / 8."""
-    return -0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x * _exp_neg(x)
+    return _weighted(-0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x,
+                     _exp_neg(x))
 
 
 def _univariate_coeffs(x: float) -> tuple[float, float]:
@@ -268,7 +277,8 @@ def _kappa(alpha: float, p: _Point) -> float:
     return (
         s_term(x) * p.cdf_w
         + s_term(y) * p.cdf_v
-        + (2.0 * alpha - lam * (lam * lam + x + y + 2.0)) * p.ex * p.pdf_w
+        + _weighted(2.0 * alpha - lam * (lam * lam + x + y + 2.0),
+                    p.ex, p.pdf_w)
     )
 
 
@@ -306,7 +316,7 @@ def _tau1(alpha: float, beta: float, p: _Point) -> float:
         - alpha / 2.0 * x * y
         + a2 / (2.0 * l3) * x * y
     )
-    return c_pb * ex * p.sf_w + c_ph * ex * p.pdf_w
+    return _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 
 
 def _tau2(alpha: float, p: _Point) -> float:
@@ -337,7 +347,7 @@ def _tau2(alpha: float, p: _Point) -> float:
         + 3.0 / 2.0 * l3 * y * y
         - 8.0 * alpha * l2
     )
-    return c_pb * ex * p.sf_w + c_ph * ex * p.pdf_w
+    return _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 
 
 def _tau3(p: _Point) -> float:
@@ -381,7 +391,7 @@ def _tau3(p: _Point) -> float:
         - 2.0 * lam * y
         - 4.0 * lam
     )
-    return lead + c_pb * ex * p.sf_w + c_ph * ex * p.pdf_w
+    return lead + _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 
 
 def _tau(alpha: float, beta: float, p: _Point) -> float:

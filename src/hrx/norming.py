@@ -65,8 +65,6 @@ def _initial_guess(n: int) -> float:
 
 @lru_cache(maxsize=4096)
 def _solve(n: int) -> float:
-    if n == 2:
-        return 0.0
     lo = 0.0
     hi = _initial_guess(n) + 2.0
     # f(b) = n * survival(b) - 1 is strictly decreasing; widen the
@@ -95,19 +93,14 @@ def _solve(n: int) -> float:
 
 
 def solve_bn(n: int) -> NormingConstant:
-    """Norming constant for sample size n (n >= 2; b_2 = 0 exactly)."""
-    n = operator.index(n)
-    if n < 2:
-        raise ValueError(f"norming constant requires n >= 2, got {n}")
+    """Norming constant for sample size n >= 3."""
+    n = check_n(n)
     return NormingConstant(n, _solve(n))
 
 
 def threshold(constant: NormingConstant, x: float) -> float:
-    """u_n(x) = b_n + x / b_n; needs n >= 3 so that b_n > 0."""
-    if constant.n < 3:
-        raise ValueError(
-            f"threshold requires n >= 3 (b_n > 0), got n = {constant.n}"
-        )
+    """u_n(x) = b_n + x / b_n."""
+    check_n(constant.n)
     return constant.b + x / constant.b
 
 
@@ -115,8 +108,6 @@ def bn_expansion_residual(n: int) -> float:
     """b^6-scaled relative error of the three-term tail expansion at b_n."""
     constant = solve_bn(n)
     b = constant.b
-    if b < 1e-8:
-        return 0.0
     b2 = b * b
     lead = std_normal_pdf(b) / b
     series = 1.0 - 1.0 / b2 + 3.0 / (b2 * b2)

@@ -69,6 +69,11 @@ class ConstantRho:
     def __post_init__(self) -> None:
         check_rho(self.rho)
 
+    @property
+    def params(self) -> HRParams:
+        """A fixed rho < 1 sends lam_n to infinity; rho = 1 pins it at 0."""
+        return HRParams.zero() if self.rho == 1.0 else HRParams.infinity()
+
 
 @dataclass(frozen=True)
 class ThirdOrderHR:
@@ -82,6 +87,10 @@ class ThirdOrderHR:
     def __post_init__(self) -> None:
         check_lam(self.lam)
 
+    @property
+    def params(self) -> HRParams:
+        return HRParams.finite(self.lam, self.alpha, self.beta)
+
 
 @dataclass(frozen=True)
 class CorollaryInfinity:
@@ -89,6 +98,10 @@ class CorollaryInfinity:
     borderline scaling under which lam_n -> inf."""
 
     gamma: float
+
+    @property
+    def params(self) -> HRParams:
+        return HRParams.infinity()
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,13 @@ class CorollaryZero:
         if not self.tau_rate >= 0.0:
             raise ValueError(f"tau_rate must be >= 0, got {self.tau_rate}")
 
+    @property
+    def params(self) -> HRParams:
+        return HRParams.zero()
 
+
+# Each spec's read-only `params` is the limit H its sequence fixes, the
+# one every study and `delta_error` compare the array against.
 RhoSequenceSpec = Union[ConstantRho, ThirdOrderHR, CorollaryInfinity, CorollaryZero]
 
 
@@ -124,10 +143,9 @@ class ConvergenceRecord:
     """Exact-vs-approximant comparison at one (n, x, y).
 
     approx, err and scaled are 3-tuples indexed by order.value - 1:
-    approx_k, err_k = |exact - approx_k| and scaled_k = b^{2k} err_k,
-    None for an order not requested.  A point where the limit
-    distribution underflows is skipped: exact and every per-order value
-    are None.
+    approx_k, err_k = |exact - approx_k| and scaled_k = b^{2k} err_k.
+    A point where the limit distribution underflows is skipped: exact
+    and every per-order value are None.
     """
 
     n: int
@@ -259,12 +277,11 @@ def exact_joint_max_cdf(n: int, rho: float, x: float, y: float) -> float:
     return exact_row_cdf(n, rho, ((x, y),))[0]
 
 
-def delta_error(
-    n: int, spec: RhoSequenceSpec, params: HRParams, x: float, y: float
-) -> float:
-    """Delta = F^n(u_n(x), u_n(y)) - H(x, y) along the spec's sequence."""
+def delta_error(n: int, spec: RhoSequenceSpec, x: float, y: float) -> float:
+    """Delta = F^n(u_n(x), u_n(y)) - H(x, y) along the spec's sequence,
+    against the limit the sequence fixes."""
     row = make_row(spec, n)
-    return exact_joint_max_cdf(row.n, row.rho, x, y) - hr_cdf(params, x, y)
+    return exact_joint_max_cdf(row.n, row.rho, x, y) - hr_cdf(spec.params, x, y)
 
 
 def a_coefficients(row: ArrayRow, lam: float) -> tuple[float, float, float]:

@@ -85,10 +85,7 @@ STUDY_GRID = ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (2.0, 2.0))
 def third_order_study():
     config = hrx.StudyConfig(
         spec=hrx.ThirdOrderHR(STUDY_LAM, STUDY_ALPHA, STUDY_BETA),
-        params=hrx.HRParams.finite(STUDY_LAM, STUDY_ALPHA, STUDY_BETA),
         n_values=STUDY_N,
         grid=STUDY_GRID,
-        orders=frozenset(hrx.ApproxOrder),
-        output_path=None,
     )
     return hrx.run_study(config)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 import subprocess
@@ -15,12 +14,12 @@ import hrx
 from hrx import ApproxOrder, ConvergenceRecord, HRParams, RateFit, StudyConfig
 from hrx.cli import (
     _CSV_HEADER,
-    _build_spec_and_params,
+    _build_parser,
+    _build_spec,
     _load_config_file,
     _parse_axis,
     _parse_grid,
     _parse_n_values,
-    _parse_orders,
     build_study_config,
     fit_rate,
     main,
@@ -31,11 +30,8 @@ from hrx.cli import (
 
 SMALL_CONFIG = StudyConfig(
     spec=hrx.ThirdOrderHR(1.0, 2.0, 5.0),
-    params=HRParams.finite(1.0, 2.0, 5.0),
     n_values=(10**3, 10**4),
     grid=((1.0, 1.0), (2.0, 2.0)),
-    orders=frozenset(ApproxOrder),
-    output_path=None,
 )
 
 
@@ -62,21 +58,18 @@ n,b_n,rho_n,x,y,exact,approx1,approx2,approx3,err1,err2,err3,scaled1,scaled2,sca
 """
 
 RECORD_STUDIES = [
-    (hrx.ThirdOrderHR(1.0, 2.0, 5.0), HRParams.finite(1.0, 2.0, 5.0)),
-    (hrx.ConstantRho(0.5), HRParams.infinity()),
-    (hrx.CorollaryZero(2.0), HRParams.zero()),
+    hrx.ThirdOrderHR(1.0, 2.0, 5.0),
+    hrx.ConstantRho(0.5),
+    hrx.CorollaryZero(2.0),
     # finite lam beyond the cutoffs takes the boundary members' formulas
-    (hrx.ThirdOrderHR(1e-7), HRParams.finite(1e-7)),
-    (hrx.ThirdOrderHR(2e6), HRParams.finite(2e6)),
-]
-
-ORDER_SUBSETS = [
-    frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(ApproxOrder, r)
+    hrx.ThirdOrderHR(1e-7),
+    hrx.ThirdOrderHR(2e6),
 ]
 
 
-def check_record(record, spec, params, orders):
+def check_record(record, spec):
     """record == what the scalar functions give at its (n, x, y)."""
+    params = spec.params
     row = hrx.make_row(spec, record.n)
     x, y = record.x, record.y
     assert (record.b, record.rho, record.clipped) == (
@@ -92,9 +85,6 @@ def check_record(record, spec, params, orders):
     for order in ApproxOrder:
         k = order.value - 1
         approx, err, scaled = record.approx[k], record.err[k], record.scaled[k]
-        if order not in orders:
-            assert approx is None and err is None and scaled is None
-            continue
         assert approx == hrx.hr_approx(record.n, params, x, y, order)
         assert err == abs(record.exact - approx)
         assert scaled == err * b2**order.value
@@ -103,33 +93,24 @@ def check_record(record, spec, params, orders):
 class TestStudyConfig:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (),
-                        ((0.0, 0.0),), frozenset(ApproxOrder))
+            StudyConfig(SMALL_CONFIG.spec, (), ((0.0, 0.0),))
         with pytest.raises(ValueError):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (2, 10),
-                        ((0.0, 0.0),), frozenset(ApproxOrder))
+            StudyConfig(SMALL_CONFIG.spec, (2, 10), ((0.0, 0.0),))
         with pytest.raises(ValueError):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (100, 100),
-                        ((0.0, 0.0),), frozenset(ApproxOrder))
+            StudyConfig(SMALL_CONFIG.spec, (100, 100), ((0.0, 0.0),))
         with pytest.raises(ValueError):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (1000, 100),
-                        ((0.0, 0.0),), frozenset(ApproxOrder))
+            StudyConfig(SMALL_CONFIG.spec, (1000, 100), ((0.0, 0.0),))
 
     @pytest.mark.parametrize("point", [
         (math.nan, 0.0), (0.0, math.inf), (-math.inf, -math.inf),
     ])
     def test_rejects_non_finite_grid(self, point):
         with pytest.raises(ValueError, match="finite"):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (100,),
-                        ((0.0, 0.0), point), frozenset(ApproxOrder))
+            StudyConfig(SMALL_CONFIG.spec, (100,), ((0.0, 0.0), point))
 
-    def test_rejects_empty_grid_or_orders(self):
+    def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (100,),
-                        (), frozenset(ApproxOrder))
-        with pytest.raises(ValueError):
-            StudyConfig(SMALL_CONFIG.spec, SMALL_CONFIG.params, (100,),
-                        ((0.0, 0.0),), frozenset())
+            StudyConfig(SMALL_CONFIG.spec, (100,), ())
 
 
 class TestRunStudy:
@@ -141,37 +122,19 @@ class TestRunStudy:
         ]
 
     def test_record_contents(self):
-        # every record of every study and order subset must equal the
-        # scalar functions bit for bit: the study shares H, kappa and tau
-        # across its rows but may not change a single value
+        # every record of every study must equal the scalar functions bit
+        # for bit: the study shares H, kappa and tau across its rows but
+        # may not change a single value
         grid = ((1.0, 1.0), (0.5, 2.0), (-1.0, 0.0), (-700.0, -700.0))
-        for spec, params in RECORD_STUDIES:
-            for orders in ORDER_SUBSETS:
-                config = StudyConfig(spec, params, (10, 10**3, 10**5), grid,
-                                     orders, None)
-                records = run_study(config)
-                assert [r.skipped for r in records] == [
-                    False, False, False, True,
-                ] * 3
-                for record in records:
-                    check_record(record, spec, params, orders)
-
-    def test_order_projection(self):
-        config = StudyConfig(
-            SMALL_CONFIG.spec, SMALL_CONFIG.params, (10**3,),
-            ((1.0, 1.0),), frozenset({ApproxOrder.SECOND}), None,
-        )
-        record = run_study(config)[0]
-        assert record.approx[0] is None
-        assert record.err[0] is None
-        assert record.approx[2] is None
-        assert record.approx[1] is not None
-        assert record.err[1] is not None
+        for spec in RECORD_STUDIES:
+            records = run_study(StudyConfig(spec, (10, 10**3, 10**5), grid))
+            assert [r.skipped for r in records] == [False, False, False, True] * 3
+            for record in records:
+                check_record(record, spec)
 
     def test_underflowed_limit_is_skipped(self):
         config = StudyConfig(
-            hrx.ConstantRho(0.5), HRParams.infinity(), (10**3,),
-            ((1.0, 1.0), (-700.0, -700.0)), frozenset(ApproxOrder), None,
+            hrx.ConstantRho(0.5), (10**3,), ((1.0, 1.0), (-700.0, -700.0)),
         )
         normal, skipped = run_study(config)
         assert not normal.skipped
@@ -180,25 +143,24 @@ class TestRunStudy:
         assert skipped.err[1] is None
         assert skipped.n == 10**3
 
-    @pytest.mark.parametrize("spec, params", RECORD_STUDIES[:3])
+    @pytest.mark.parametrize("spec, params",
+                             [(spec, spec.params) for spec in RECORD_STUDIES[:3]])
     def test_overflowing_exponential_is_skipped(self, spec, params):
         # e^{-x} overflows below x = -709.78, where H underflows to 0
         grid = ((-710.0, -710.0), (-710.0, 1.0), (1.0, -2000.0), (1.0, 1.0))
-        config = StudyConfig(spec, params, (100,), grid,
-                             frozenset(ApproxOrder), None)
-        records = run_study(config)
+        assert [hrx.hr_cdf(params, x, y) for x, y in grid[:3]] == [0.0] * 3
+        records = run_study(StudyConfig(spec, (100,), grid))
         assert [r.skipped for r in records] == [True, True, True, False]
         for record in records:
-            check_record(record, spec, params, config.orders)
+            check_record(record, spec)
 
     def test_unconverged_fallback_raises(self, unconverged_quad):
         # u_500(x) = 3 exactly: the pair (3, 3) at rho = 0.9999 fails the
         # Gauss-Laguerre certificate, and the adaptive integral is forced
         # to report non-convergence
         config = StudyConfig(
-            hrx.ConstantRho(0.9999), HRParams.infinity(), (100, 500),
+            hrx.ConstantRho(0.9999), (100, 500),
             ((1.0, 1.0), (0.3506702208933126, 0.3506702208933126)),
-            frozenset(ApproxOrder), None,
         )
         with pytest.raises(hrx.QuadratureConvergenceError) as info:
             run_study(config)
@@ -215,8 +177,7 @@ class TestRunStudy:
         def csv_lines(n_values):
             path = tmp_path / "study.csv"
             write_records(run_study(StudyConfig(
-                SMALL_CONFIG.spec, SMALL_CONFIG.params, n_values, grid,
-                frozenset(ApproxOrder),
+                SMALL_CONFIG.spec, n_values, grid,
             )), str(path))
             return path.read_bytes().splitlines(keepends=True)
 
@@ -236,8 +197,7 @@ class TestCsvRoundTrip:
 
     def test_round_trip_with_skips(self, tmp_path):
         config = StudyConfig(
-            hrx.ConstantRho(0.5), HRParams.infinity(), (10**3,),
-            ((1.0, 1.0), (-700.0, -700.0)), frozenset(ApproxOrder), None,
+            hrx.ConstantRho(0.5), (10**3,), ((1.0, 1.0), (-700.0, -700.0)),
         )
         path = str(tmp_path / "study.csv")
         records = run_study(config)
@@ -363,14 +323,6 @@ class TestParsers:
         with pytest.raises(ValueError):
             _parse_grid("1;2,3")
 
-    def test_orders(self):
-        assert _parse_orders("first,3") == frozenset(
-            {ApproxOrder.FIRST, ApproxOrder.THIRD}
-        )
-        assert _parse_orders("2") == frozenset({ApproxOrder.SECOND})
-        with pytest.raises(ValueError):
-            _parse_orders("fourth")
-
     def test_config_file(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text(
@@ -396,45 +348,45 @@ class TestParsers:
 
 class TestSpecSelection:
     def test_constant(self):
-        spec, params = _build_spec_and_params({"spec": "constant", "rho": "0.5"})
+        spec = _build_spec({"spec": "constant", "rho": "0.5"})
         assert spec == hrx.ConstantRho(0.5)
-        assert params.regime is hrx.LambdaRegime.INFINITY
+        assert spec.params.regime is hrx.LambdaRegime.INFINITY
 
     def test_constant_comonotone(self):
-        _, params = _build_spec_and_params({"spec": "constant", "rho": "1"})
-        assert params.regime is hrx.LambdaRegime.ZERO
+        spec = _build_spec({"spec": "constant", "rho": "1"})
+        assert spec.params.regime is hrx.LambdaRegime.ZERO
 
     def test_third_order(self):
-        spec, params = _build_spec_and_params(
+        spec = _build_spec(
             {"spec": "third_order", "lambda": "1.5", "alpha": "2"}
         )
         assert spec == hrx.ThirdOrderHR(1.5, 2.0, 0.0)
-        assert params == HRParams.finite(1.5, 2.0, 0.0)
+        assert spec.params == HRParams.finite(1.5, 2.0, 0.0)
 
     def test_corollaries(self):
-        spec, params = _build_spec_and_params({"spec": "infinity", "gamma": "1"})
+        spec = _build_spec({"spec": "infinity", "gamma": "1"})
         assert spec == hrx.CorollaryInfinity(1.0)
-        assert params.regime is hrx.LambdaRegime.INFINITY
-        spec, params = _build_spec_and_params({"spec": "zero", "tau_rate": "2"})
+        assert spec.params.regime is hrx.LambdaRegime.INFINITY
+        spec = _build_spec({"spec": "zero", "tau_rate": "2"})
         assert spec == hrx.CorollaryZero(2.0)
-        assert params.regime is hrx.LambdaRegime.ZERO
+        assert spec.params.regime is hrx.LambdaRegime.ZERO
 
     def test_missing_required_key(self):
         with pytest.raises(ValueError):
-            _build_spec_and_params({"spec": "constant"})
+            _build_spec({"spec": "constant"})
         with pytest.raises(ValueError):
-            _build_spec_and_params({"spec": "third-order"})
+            _build_spec({"spec": "third-order"})
         with pytest.raises(ValueError):
-            _build_spec_and_params({"spec": "warp"})
+            _build_spec({"spec": "warp"})
 
     def test_build_study_config(self):
         config = build_study_config({
             "spec": "constant", "rho": "0.5",
             "n": "100,1000", "grid": "0,0",
         })
-        assert config.n_values == (100, 1000)
-        assert config.orders == frozenset(ApproxOrder)
-        assert config.output_path == "-"
+        assert config == StudyConfig(
+            hrx.ConstantRho(0.5), (100, 1000), ((0.0, 0.0),)
+        )
         with pytest.raises(ValueError):
             build_study_config({"spec": "constant", "rho": "0.5", "grid": "0,0"})
         with pytest.raises(ValueError):
@@ -464,7 +416,7 @@ class TestMain:
     def test_table_to_stdout(self, capsys):
         code = main([
             "table", "--spec", "constant", "--rho", "0.5",
-            "--n", "100,1000", "--grid", "0,0", "--orders", "1",
+            "--n", "100,1000", "--grid", "0,0",
         ])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -511,6 +463,31 @@ class TestMain:
         cfg.write_text("seed = 1\n")
         assert main(args + ["--config", str(cfg)]) == 0
         capsys.readouterr()
+
+    def test_table_has_no_order_subset(self, tmp_path, capsys):
+        # every study fills all three orders: table takes no orders
+        # option, and a config file's orders key is ignored like any
+        # unknown key
+        assert not hasattr(_build_parser().parse_args(["table"]), "orders")
+        out = tmp_path / "a.csv"
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("orders = 1\n")
+        assert main(["table", "--spec", "constant", "--rho", "0.5",
+                     "--n", "100", "--grid", "0,0", "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert None not in read_records(str(out))[0].approx
+        capsys.readouterr()
+
+    def test_huge_grid_value_has_no_nan(self, tmp_path, capsys):
+        # x^2 and x^4 overflow where e^{-x} underflows; 0 * inf gave NaN
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "constant", "--rho", "0.5",
+                     "--n", "100", "--grid", "1e155,0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        header, line = out.read_text().splitlines()
+        assert "nan" not in line
+        (record,) = read_records(str(out))
+        assert record.approx == (math.exp(-1.0),) * 3
 
     def test_unconverged_joint_tail_exits_2(
         self, tmp_path, capsys, monkeypatch, unconverged_quad

@@ -17,10 +17,12 @@ from hrx import (
     bivariate_normal_cdf,
     bivariate_normal_survival,
     gauss,
+    solve_bn,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
     std_normal_survival,
+    threshold,
 )
 
 # Frozen reference values, correctly rounded doubles.
@@ -428,6 +430,20 @@ class TestBivariateTail:
         got = bivariate_normal_survival(3.0, 3.0, 0.9999)
         assert calls == [(3.0, 3.0, 0.9999)]
         assert rel_err(got, 0.0013248956714195714) <= 1e-13
+
+    def test_underflowing_pairs_skip_the_fallback(self, monkeypatch):
+        # u_1000(x) for x = 4, 8, 12 against 32, 28, 24 at rho = -0.9:
+        # the true values, 6e-355 to 4e-351, are below every double, the
+        # two rules do not agree to 1e-14, and the adaptive integral gives
+        # 0 too; no relative contract applies below the normal range
+        calls = []
+        monkeypatch.setattr(gauss, "_tail_survival_adaptive",
+                            lambda *args: calls.append(args))
+        c = solve_bn(1000)
+        pairs = [(threshold(c, x), threshold(c, 36.0 - x))
+                 for x in (4.0, 8.0, 12.0, 24.0, 28.0, 32.0)]
+        assert gauss.joint_tail_survival(pairs, -0.9) == [0.0] * 6
+        assert calls == []
 
     @pytest.mark.parametrize("r", [-0.9, -0.3, 0.4, 0.94])
     def test_batch_equals_one_pair_calls(self, r):

@@ -96,6 +96,10 @@ class TestParams:
         with pytest.raises(ValueError):
             HRParams.finite(lam)
 
+    def test_finite_needs_a_lambda(self):
+        with pytest.raises(ValueError, match="^finite regime requires lam$"):
+            HRParams(LambdaRegime.FINITE)
+
     def test_degenerate_regimes_reject_extras(self):
         with pytest.raises(ValueError):
             HRParams(LambdaRegime.ZERO, lam=1.0)
@@ -499,3 +503,19 @@ class TestHrApprox:
         # H is 0 below x = -709.78 while kappa and tau are inf or NaN
         for order in ApproxOrder:
             assert hr_approx(100, params, -710.0, y, order) == 0.0
+
+    @pytest.mark.parametrize("params", [
+        HRParams.zero(), HRParams.finite(1.0, 2.0, 5.0), HRParams.infinity(),
+    ])
+    @pytest.mark.parametrize("x, y", [(1e78, 0.0), (0.0, 1e78), (1e155, 0.0)])
+    def test_huge_grid_value(self, params, x, y):
+        # x^2 and x^4 overflow where e^{-x} underflows; 0 * inf gave NaN.
+        # H = Lambda(0) and kappa = tau = 0 at the finite coordinate
+        for order in ApproxOrder:
+            assert hr_approx(100, params, x, y, order) == math.exp(-1.0)
+
+    def test_univariate_terms_at_huge_x(self):
+        assert s_term(1e155) == 0.0
+        assert t_term(1e78) == 0.0
+        assert math.isfinite(kappa(2.0, 1.0, 0.0, 1e155))
+        assert math.isfinite(tau(2.0, 5.0, 1.0, 1e78, 0.0))

@@ -47,11 +47,12 @@ class TestSolve:
             assert abs(n * std_normal_survival(b) - 1.0) <= 1e-14
 
     def test_n_equals_two(self):
-        # n (1 - Phi(b)) = 1 at n = 2 gives the median
-        assert solve_bn(2).b == 0.0
+        # b_2 = 0 would give no threshold u_n(x) = b + x/b: rows start at 3
+        with pytest.raises(ValueError, match=r"^requires n >= 3, got 2$"):
+            solve_bn(2)
 
     def test_monotone_in_n(self):
-        bs = [solve_bn(n).b for n in (2, 3, 5, 10, 50, 10**3, 10**6, 10**9)]
+        bs = [solve_bn(n).b for n in (3, 5, 10, 50, 10**3, 10**6, 10**9)]
         assert all(a < b for a, b in zip(bs, bs[1:]))
 
     def test_domain(self):
@@ -76,7 +77,7 @@ class TestThreshold:
 
     def test_rejects_degenerate_constant(self):
         with pytest.raises(ValueError):
-            threshold(solve_bn(2), 1.0)
+            threshold(NormingConstant(2, 0.0), 1.0)
 
     def test_monotone_in_x(self):
         c = solve_bn(10**4)
@@ -90,7 +91,8 @@ class TestExpansionResidual:
             assert abs(bn_expansion_residual(n) - want) <= 1e-9 * want
 
     def test_degenerate(self):
-        assert bn_expansion_residual(2) == 0.0
+        with pytest.raises(ValueError, match=r"^requires n >= 3, got 2$"):
+            bn_expansion_residual(2)
 
     def test_slow_growth(self):
         # the next series term is O(b^{-6}) with a modest coefficient, so

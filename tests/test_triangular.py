@@ -73,6 +73,20 @@ class TestSpecs:
             CorollaryZero(-0.5)
         assert CorollaryZero(0.0).tau_rate == 0.0
 
+    @pytest.mark.parametrize("spec, params", [
+        (ConstantRho(0.5), HRParams.infinity()),
+        (ConstantRho(-1.0), HRParams.infinity()),
+        (ConstantRho(1.0), HRParams.zero()),
+        (ThirdOrderHR(1.5, 2.0, -3.0), HRParams.finite(1.5, 2.0, -3.0)),
+        (ThirdOrderHR(1e-7), HRParams.finite(1e-7)),
+        (CorollaryInfinity(1.0), HRParams.infinity()),
+        (CorollaryZero(2.0), HRParams.zero()),
+    ])
+    def test_params_is_the_limit_the_sequence_fixes(self, spec, params):
+        assert spec.params == params
+        with pytest.raises(AttributeError):
+            spec.params = params
+
 
 class TestMakeRow:
     def test_third_order_construction_identity(self):
@@ -285,19 +299,26 @@ class TestExactRowCdf:
 
 class TestDeltaError:
     def test_shrinks_along_third_order_sequence(self):
-        params = HRParams.finite(1.0, 2.0, 5.0)
-        d3 = abs(delta_error(10**3, SPEC, params, 1.0, 1.0))
-        d6 = abs(delta_error(10**6, SPEC, params, 1.0, 1.0))
+        d3 = abs(delta_error(10**3, SPEC, 1.0, 1.0))
+        d6 = abs(delta_error(10**6, SPEC, 1.0, 1.0))
         assert d6 < d3
 
     def test_far_upper_tail_vanishes(self):
-        params = HRParams.finite(1.0, 2.0, 5.0)
-        assert abs(delta_error(10**4, SPEC, params, 40.0, 40.0)) <= 1e-12
+        assert abs(delta_error(10**4, SPEC, 40.0, 40.0)) <= 1e-12
+
+    def test_compares_with_the_spec_limit(self):
+        n, x, y = 10**4, 0.5, 1.5
+        for spec in (SPEC, ConstantRho(0.5), CorollaryZero(2.0)):
+            row = make_row(spec, n)
+            assert delta_error(n, spec, x, y) == (
+                exact_joint_max_cdf(n, row.rho, x, y)
+                - hrx.hr_cdf(spec.params, x, y)
+            )
 
     def test_comonotone_reduction(self):
         n, x, y = 10**4, 0.3, 1.2
         c = solve_bn(n)
-        got = delta_error(n, ConstantRho(1.0), HRParams.zero(), x, y)
+        got = delta_error(n, ConstantRho(1.0), x, y)
         exact = math.exp(
             n * math.log1p(-hrx.std_normal_survival(threshold(c, x)))
         )
@@ -422,6 +443,9 @@ class TestOneCheckPerInput:
         "gumbel_approx": lambda n: hrx.univariate_gumbel_approx(
             n, 0.0, ApproxOrder.SECOND),
         "mc": lambda n: hrx.mc_triangular_maxima(n, 0.5, 0.0, 0.0, 1, 0),
+        "threshold": lambda n: threshold(hrx.NormingConstant(n, 1.0), 0.0),
+        "StudyConfig": lambda n: hrx.StudyConfig(ConstantRho(0.5), (n, 10),
+                                                 ((0.0, 0.0),)),
     }
     RHO_CALLS = {
         "ConstantRho": ConstantRho,
@@ -440,6 +464,7 @@ class TestOneCheckPerInput:
         "kappa": lambda lam: hrx.kappa(0.0, lam, 0.0, 0.0),
         "tau": lambda lam: hrx.tau(0.0, 0.0, lam, 0.0, 0.0),
         "I_closed": lambda lam: hrx.I_closed(0, lam, 0.0, 0.0),
+        "HRParams": HRParams.finite,
     }
 
     @pytest.mark.parametrize("call", list(N_CALLS.values()), ids=list(N_CALLS))
