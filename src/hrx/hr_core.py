@@ -24,10 +24,10 @@ into tau; and the auxiliary integrals
 
     I_k = int_y^inf phi(lam + (x-z)/(2 lam)) e^{-z} z^k dz,  k = 0..3,
 
-whose closed forms the tau derivation rests on.  In the degenerate
-regimes the coefficients collapse to the univariate s and t: s(x)+s(y)
-(independence) and s(min(x,y)) (complete dependence), which is how
-the Zero/Infinity tags are handled.
+whose closed forms the tau derivation rests on.  lam ranges over
+[0, inf], boundaries included: at lam = inf the coefficients collapse
+to s(x)+s(y) (independence) and at lam = 0 to s(min(x,y)) (complete
+dependence), built from the univariate s and t.
 
 H, kappa and tau do not depend on n: `hr_expansion` gives (H, kappa,
 tau + kappa^2/2) at one point, computing what the closed forms share
@@ -49,7 +49,6 @@ from .gauss import std_normal_cdf, std_normal_pdf, std_normal_survival
 from .norming import check_n, solve_bn
 
 __all__ = [
-    "LambdaRegime",
     "HRParams",
     "ApproxOrder",
     "check_lam",
@@ -76,14 +75,6 @@ _LAM_ZERO_CUTOFF = 1e-6
 _LAM_INF_CUTOFF = 1e6
 
 
-class LambdaRegime(enum.Enum):
-    """Dependence regime of the limit: boundary members or interior."""
-
-    ZERO = "zero"
-    FINITE = "finite"
-    INFINITY = "infinity"
-
-
 class ApproxOrder(enum.Enum):
     """Truncation level of the 1/b_n^2 expansion."""
 
@@ -94,47 +85,41 @@ class ApproxOrder(enum.Enum):
 
 @dataclass(frozen=True)
 class HRParams:
-    """Limit parameter lam plus the refinement coefficients alpha, beta.
+    """Limit parameter lam in [0, inf] plus the refinement coefficients
+    alpha, beta.
 
-    alpha and beta describe how fast the array's lam_n approaches lam;
-    they only make sense for an interior (finite, positive) lam, so the
-    boundary regimes reject nonzero values instead of ignoring them.
+    lam = 0 is complete dependence and lam = inf independence, the
+    boundary members of the family.  alpha and beta describe how fast
+    the array's lam_n approaches lam; they only make sense for an
+    interior (finite, positive) lam, so the boundary members reject
+    nonzero values instead of ignoring them.
     """
 
-    regime: LambdaRegime
-    lam: float | None = None
+    lam: float
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.regime is LambdaRegime.FINITE:
-            if self.lam is None:
-                raise ValueError("finite regime requires lam")
-            check_lam(self.lam)
-        else:
-            if self.lam is not None:
-                raise ValueError(
-                    f"lam is determined by the {self.regime.value} regime; "
-                    "leave it unset"
-                )
-            if self.alpha != 0.0 or self.beta != 0.0:
-                raise ValueError(
-                    f"alpha and beta are unused in the {self.regime.value} "
-                    "regime; got "
-                    f"alpha={self.alpha}, beta={self.beta}"
-                )
+        if not self.lam >= 0.0:
+            raise ValueError(f"requires lam in [0, inf], got {self.lam}")
+        if self.lam in (0.0, math.inf) and (self.alpha != 0.0 or self.beta != 0.0):
+            raise ValueError(
+                f"alpha and beta are unused at lam = {self.lam}; got "
+                f"alpha={self.alpha}, beta={self.beta}"
+            )
 
     @classmethod
     def zero(cls) -> "HRParams":
-        return cls(LambdaRegime.ZERO)
+        return cls(0.0)
 
     @classmethod
     def infinity(cls) -> "HRParams":
-        return cls(LambdaRegime.INFINITY)
+        return cls(math.inf)
 
     @classmethod
     def finite(cls, lam: float, alpha: float = 0.0, beta: float = 0.0) -> "HRParams":
-        return cls(LambdaRegime.FINITE, float(lam), float(alpha), float(beta))
+        check_lam(lam)
+        return cls(float(lam), float(alpha), float(beta))
 
 
 def check_lam(lam: float) -> None:
@@ -165,15 +150,15 @@ def gumbel_cdf(x: float) -> float:
     return math.exp(-_exp_neg(x))
 
 
-def _limit_regime(params: HRParams) -> LambdaRegime:
-    """Regime whose formulas evaluate params: a finite lam beyond a
-    cutoff is evaluated by the corresponding boundary member."""
-    if params.regime is LambdaRegime.FINITE:
-        if params.lam < _LAM_ZERO_CUTOFF:
-            return LambdaRegime.ZERO
-        if params.lam > _LAM_INF_CUTOFF:
-            return LambdaRegime.INFINITY
-    return params.regime
+def _limit_lam(params: HRParams) -> float:
+    """The lam whose formulas evaluate params: a lam beyond a cutoff is
+    evaluated by the corresponding boundary member."""
+    lam = params.lam
+    if lam < _LAM_ZERO_CUTOFF:
+        return 0.0
+    if lam > _LAM_INF_CUTOFF:
+        return math.inf
+    return lam
 
 
 def _finite_hr(cdf_w: float, ex: float, cdf_v: float, ey: float) -> float:
@@ -187,13 +172,12 @@ def _finite_hr(cdf_w: float, ex: float, cdf_v: float, ey: float) -> float:
 
 
 def hr_cdf(params: HRParams, x: float, y: float) -> float:
-    """Limit distribution H_lam(x, y) for the given regime."""
-    regime = _limit_regime(params)
-    if regime is LambdaRegime.ZERO:
+    """Limit distribution H_lam(x, y), boundary members included."""
+    lam = _limit_lam(params)
+    if lam == 0.0:
         return gumbel_cdf(min(x, y))
-    if regime is LambdaRegime.INFINITY:
+    if lam == math.inf:
         return gumbel_cdf(x) * gumbel_cdf(y)
-    lam = params.lam
     half = (y - x) / (2.0 * lam)
     return _finite_hr(
         std_normal_cdf(lam + half), _exp_neg(x),
@@ -225,13 +209,20 @@ def approximants(
     H (1 + c1/b2 + c2/b2^2); the last two are clamped to [0, 1].
 
     H = 0 gives zeros: where e^{-x} overflows, H is 0 but c1 and c2 are
-    infinite or NaN, and 0 * inf would be NaN."""
+    infinite or NaN, and 0 * inf would be NaN.  Elsewhere a NaN
+    coefficient (inf - inf inside tau, for alpha or beta beyond about
+    1e154) raises ValueError: no approximant can be formed from it."""
     if h == 0.0:
         return 0.0, 0.0, 0.0
     value = 1.0 + c1 / b2
     second = min(max(h * value, 0.0), 1.0)
     value += c2 / (b2 * b2)
-    return h, second, min(max(h * value, 0.0), 1.0)
+    third = min(max(h * value, 0.0), 1.0)
+    if math.isnan(second) or math.isnan(third):
+        raise ValueError(
+            f"expansion coefficients c1={c1!r}, c2={c2!r} overflowed"
+        )
+    return h, second, third
 
 
 def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:
@@ -415,11 +406,9 @@ def kappa1(alpha: float, lam: float, x: float, y: float) -> float:
     the b_n^2-scaled deviation of the joint exceedance from its limit.
     """
     p = _checked_point(lam, x, y)
-    ex = p.ex
     lam2 = lam * lam
-    return (2.0 * lam2 * lam2 - 2.0 * lam2 * x) * ex * p.sf_w + (
-        2.0 * alpha - 3.0 * lam2 * lam
-    ) * ex * p.pdf_w
+    return (_weighted(2.0 * lam2 * lam2 - 2.0 * lam2 * x, p.ex, p.sf_w)
+            + _weighted(2.0 * alpha - 3.0 * lam2 * lam, p.ex, p.pdf_w))
 
 
 def tau1(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
@@ -452,43 +441,32 @@ def I_closed(k: int, lam: float, x: float, y: float) -> float:
     ex, pb, ph = p.ex, p.sf_w, p.pdf_w
     l2, l3, l4, l5, l6, l7, _ = p.powers
     if k == 0:
-        return 2.0 * lam * ex * pb
+        return _weighted(2.0 * lam, ex, pb)
     if k == 1:
-        return (2.0 * lam * x - 4.0 * l3) * ex * pb + 4.0 * l2 * ex * ph
-    if k == 2:
-        return (8.0 * l5 - 8.0 * l3 * x + 8.0 * l3 + 2.0 * lam * x * x) * ex * pb + (
-            -8.0 * l4 + 4.0 * l2 * x + 4.0 * l2 * y
-        ) * ex * ph
-    return (
-        24.0 * l5 * x
-        - 12.0 * l3 * x * x
-        + 24.0 * l3 * x
-        + 2.0 * lam * x * x * x
-        - 16.0 * l7
-        - 48.0 * l5
-    ) * ex * pb + (
-        16.0 * l6
-        - 16.0 * l4 * x
-        - 8.0 * l4 * y
-        + 32.0 * l4
-        + 4.0 * l2 * x * x
-        + 4.0 * l2 * x * y
-        + 4.0 * l2 * y * y
-    ) * ex * ph
+        c_pb, c_ph = 2.0 * lam * x - 4.0 * l3, 4.0 * l2
+    elif k == 2:
+        c_pb = 8.0 * l5 - 8.0 * l3 * x + 8.0 * l3 + 2.0 * lam * x * x
+        c_ph = -8.0 * l4 + 4.0 * l2 * x + 4.0 * l2 * y
+    else:
+        c_pb = (24.0 * l5 * x - 12.0 * l3 * x * x + 24.0 * l3 * x
+                + 2.0 * lam * x * x * x - 16.0 * l7 - 48.0 * l5)
+        c_ph = (16.0 * l6 - 16.0 * l4 * x - 8.0 * l4 * y + 32.0 * l4
+                + 4.0 * l2 * x * x + 4.0 * l2 * x * y + 4.0 * l2 * y * y)
+    return _weighted(c_pb, ex, pb) + _weighted(c_ph, ex, ph)
 
 
 def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, float]:
     """(H, c1, c2) at (x, y), with c1 = kappa and c2 = tau + kappa^2/2:
     the n-free terms of H (1 + c1/b_n^2 + c2/b_n^4).  Every quantity the
     closed forms share is evaluated once."""
-    regime = _limit_regime(params)
-    if regime is LambdaRegime.ZERO:
+    lam = _limit_lam(params)
+    if lam == 0.0:
         return (hr_cdf(params, x, y), *_univariate_coeffs(min(x, y)))
-    if regime is LambdaRegime.INFINITY:
+    if lam == math.inf:
         ssum = s_term(x) + s_term(y)
         return (hr_cdf(params, x, y), ssum,
                 t_term(x) + t_term(y) + 0.5 * ssum * ssum)
-    p = _point(params.lam, x, y)
+    p = _point(lam, x, y)
     c1 = _kappa(params.alpha, p)
     c2 = _tau(params.alpha, params.beta, p) + 0.5 * c1 * c1
     return _finite_hr(p.cdf_w, p.ex, p.cdf_v, _exp_neg(y)), c1, c2

@@ -111,8 +111,11 @@ class CorollaryZero:
     tau_rate: float
 
     def __post_init__(self) -> None:
-        if not self.tau_rate >= 0.0:
-            raise ValueError(f"tau_rate must be >= 0, got {self.tau_rate}")
+        if not (self.tau_rate >= 0.0
+                and math.isfinite(self.tau_rate * self.tau_rate)):
+            raise ValueError(
+                f"tau_rate must be >= 0 with a finite square, got {self.tau_rate}"
+            )
 
     @property
     def params(self) -> HRParams:

@@ -90,7 +90,8 @@ def test_criterion_02_max_stability(params, criterion):
                 lhs = hrx.hr_cdf(params, x + shift, y + shift) ** m
                 rhs = hrx.hr_cdf(params, x, y)
                 worst = max(worst, abs(lhs - rhs))
-    criterion(2, f"max-stability {params.regime.name.lower()}",
+    label = {0.0: "zero", math.inf: "infinity"}.get(params.lam, "finite")
+    criterion(2, f"max-stability {label}",
               worst <= 1e-12, f"worst abs {worst:.3e} tol 1e-12")
 
 

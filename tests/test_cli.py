@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import hrx
 from hrx import ApproxOrder, ConvergenceRecord, HRParams, RateFit, StudyConfig
@@ -350,11 +353,11 @@ class TestSpecSelection:
     def test_constant(self):
         spec = _build_spec({"spec": "constant", "rho": "0.5"})
         assert spec == hrx.ConstantRho(0.5)
-        assert spec.params.regime is hrx.LambdaRegime.INFINITY
+        assert spec.params == HRParams.infinity()
 
     def test_constant_comonotone(self):
         spec = _build_spec({"spec": "constant", "rho": "1"})
-        assert spec.params.regime is hrx.LambdaRegime.ZERO
+        assert spec.params == HRParams.zero()
 
     def test_third_order(self):
         spec = _build_spec(
@@ -366,10 +369,10 @@ class TestSpecSelection:
     def test_corollaries(self):
         spec = _build_spec({"spec": "infinity", "gamma": "1"})
         assert spec == hrx.CorollaryInfinity(1.0)
-        assert spec.params.regime is hrx.LambdaRegime.INFINITY
+        assert spec.params == HRParams.infinity()
         spec = _build_spec({"spec": "zero", "tau_rate": "2"})
         assert spec == hrx.CorollaryZero(2.0)
-        assert spec.params.regime is hrx.LambdaRegime.ZERO
+        assert spec.params == HRParams.zero()
 
     def test_missing_required_key(self):
         with pytest.raises(ValueError):
@@ -572,3 +575,69 @@ class TestMain:
         out = capsys.readouterr().out
         assert "all" in out and "checks passed" in out
         assert "FAIL" not in out
+
+
+def _table(argv: list[str]) -> tuple[int, str, str]:
+    """`main(["table", *argv])` with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["table", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _flag(name: str, values) -> st.SearchStrategy[str]:
+    # --name=value, so that argparse never reads "-1e+300" as a flag
+    return values.map(lambda v: f"--{name}={v!r}")
+
+
+SPEC_ARGS = st.one_of(
+    st.tuples(st.just("--spec=constant"),
+              _flag("rho", st.floats(-1.0, 1.0) | FINITE)),
+    st.tuples(st.just("--spec=third-order"),
+              _flag("lambda", st.floats(0.01, 10.0) | FINITE),
+              _flag("alpha", FINITE), _flag("beta", FINITE)),
+    st.tuples(st.just("--spec=corollary-infinity"), _flag("gamma", FINITE)),
+    st.tuples(st.just("--spec=corollary-zero"),
+              _flag("tau-rate", st.floats(0.0, 10.0) | FINITE)),
+)
+
+
+class TestRobustness:
+    """No finite input ends `hrx table` in a traceback, and no evaluated
+    CSV holds a NaN."""
+
+    @given(SPEC_ARGS, st.sampled_from([3, 10, 1000, 10**6]),
+           st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=3))
+    def test_table_exits_cleanly(self, spec_args, n, points):
+        grid = ";".join(f"{x!r},{y!r}" for x, y in points)
+        code, out, _ = _table([*spec_args, f"--n={n}", f"--grid={grid}"])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert "nan" not in out
+
+    @pytest.mark.parametrize("argv", [
+        # the Genz branch squared h - k and overflowed
+        ["--spec", "constant", "--rho", "0.95", "--grid", "0,1e156"],
+        ["--spec", "third-order", "--lambda", "0.05", "--grid", "0,1e155"],
+        # the Genz branch gave NaN at a huge threshold
+        ["--spec", "constant", "--rho", "0.95", "--grid", "0,1e100"],
+    ])
+    def test_huge_threshold_has_no_nan(self, argv):
+        code, out, _ = _table([*argv, "--n", "100"])
+        assert code == 0
+        (line,) = out.splitlines()[1:]
+        assert "nan" not in line
+        # F^n and H are both Lambda(0) times the 1 of a vanishing marginal
+        exact, approx1 = (float(c) for c in line.split(",")[5:7])
+        assert approx1 == math.exp(-1.0)
+        assert abs(exact - approx1) < 0.01
+
+    def test_tau_rate_with_overflowing_square_exits_1(self):
+        code, out, err = _table(["--spec", "corollary-zero", "--tau-rate",
+                                 "1e200", "--n", "100", "--grid", "0,0"])
+        assert code == 1
+        assert out == ""
+        assert "tau_rate" in err

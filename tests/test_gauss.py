@@ -74,6 +74,41 @@ BVN_CDF_SAMPLES = [
     (-1.0, 2.0, -0.8, 0.13779566999920151),
     (0.5, 0.5, 0.999, 0.68518078623309765),
 ]
+# P(X <= h, Y <= k) where `bivariate_normal_cdf` is the reflected survival
+# and the old cdf had a branch of its own: 60-digit mpmath, h, k > -100
+# and |rho| < 1 as `joint_tail(-h, -k, rho)` of make_bvn_tail_reference.py
+# (the survival at (-h, -k)), the rest as closed forms in mpmath.ncdf.
+BVN_CDF_REFLECTED = [
+    # (h, k, rho, value), correctly rounded doubles
+    # h, k <= -3 with rho not in {0, +-1}: the Gauss-Laguerre rule
+    (-3.0, -3.0, 0.5, 8.18896618321921e-05),
+    (-3.0, -4.0, -0.5, 6.837053804920115e-14),
+    (-4.0, -3.5, 0.9, 2.329809522934476e-05),
+    (-5.0, -6.0, -0.9, 4.4496356033851745e-136),
+    (-3.0, -3.0, 0.999, 0.0012708810536105266),
+    (-6.5, -6.0, 0.3, 5.494778281830767e-16),
+    (-10.0, -12.0, 0.7, 2.78646746437162e-35),
+    (-3.5, -8.0, -0.2, 5.315722063050926e-23),
+    # one threshold <= -8 with rho in {0, 0.5, 1}
+    (-8.5, 1.0, 0.0, 7.97555681783456e-18),
+    (0.5, -9.0, 0.0, 7.803765169461578e-20),
+    (-9.0, 0.5, 0.5, 1.1285884027697266e-19),
+    (2.0, -8.25, 0.5, 7.91972631463845e-17),
+    (-10.0, 2.0, 1.0, 7.619853024160525e-24),
+    (3.0, -8.0, 1.0, 6.220960574271784e-16),
+    # rho = -1 with h + k near 0: Phi(h) - Phi(-k)
+    (0.3, -0.2999999, -1.0, 3.813878211923078e-08),
+    (-2.0, 2.0000001, -1.0, 5.3990961025731216e-09),
+    (1.5, -1.5, -1.0, 0.0),
+    (0.0, 1e-09, -1.0, 3.989422804014327e-10),
+    # thresholds at +-1e300
+    (1e+300, 0.5, 0.3, 0.6914624612740131),
+    (0.5, -1e+300, 0.3, 0.0),
+    (1e+300, 1e+300, -0.7, 1.0),
+    (1e+300, -9.0, 0.9, 1.1285884059538405e-19),
+    (-1e+300, -1e+300, 0.2, 0.0),
+    (-1e+300, 1e+300, -1.0, 0.0),
+]
 BVN_SURV_SAMPLES = [
     # (h, k, rho, value); references are taken at the double-rounded
     # inputs, e.g. mpf(5.2) and mpf(0.937), not at the decimal ones
@@ -256,6 +291,16 @@ class TestBivariateCdf:
     def test_frozen_values(self):
         for h, k, r, want in BVN_CDF_SAMPLES:
             assert abs(bivariate_normal_cdf(h, k, r) - want) <= 5e-16
+
+    def test_reflected_branches(self):
+        for h, k, r, want in BVN_CDF_REFLECTED:
+            assert abs(bivariate_normal_cdf(h, k, r) - want) <= 5e-16
+
+    def test_reflected_joint_tail_is_relative(self):
+        # -40 < h, k <= -3 is the survival's joint tail at (-h, -k)
+        for h, k, r, want in BVN_CDF_REFLECTED:
+            if -40.0 < min(h, k) and max(h, k) <= -3.0 and r not in (0.0, 1.0, -1.0):
+                assert rel_err(bivariate_normal_cdf(h, k, r), want) <= 1e-13
 
     def test_quadrant_identity(self):
         # P(X <= 0, Y <= 0) = 1/4 + asin(rho) / (2 pi)

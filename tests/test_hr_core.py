@@ -17,7 +17,6 @@ from hrx import (
     ApproxOrder,
     HRParams,
     I_closed,
-    LambdaRegime,
     gumbel_cdf,
     hr_approx,
     hr_cdf,
@@ -86,27 +85,27 @@ def rel_err(got, want):
 class TestParams:
     def test_constructors(self):
         p = HRParams.finite(1.5, 2.0, 3.0)
-        assert p.regime is LambdaRegime.FINITE
         assert (p.lam, p.alpha, p.beta) == (1.5, 2.0, 3.0)
-        assert HRParams.zero().regime is LambdaRegime.ZERO
-        assert HRParams.infinity().regime is LambdaRegime.INFINITY
+        assert HRParams.zero() == HRParams(0.0)
+        assert HRParams.infinity() == HRParams(math.inf)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
     def test_finite_needs_positive_finite_lambda(self, lam):
         with pytest.raises(ValueError):
             HRParams.finite(lam)
 
-    def test_finite_needs_a_lambda(self):
-        with pytest.raises(ValueError, match="^finite regime requires lam$"):
-            HRParams(LambdaRegime.FINITE)
+    @pytest.mark.parametrize("lam", [-1.0, -math.inf, math.nan])
+    def test_lambda_domain(self, lam):
+        with pytest.raises(ValueError):
+            HRParams(lam)
 
     def test_degenerate_regimes_reject_extras(self):
         with pytest.raises(ValueError):
-            HRParams(LambdaRegime.ZERO, lam=1.0)
+            HRParams(0.0, alpha=1.0)
         with pytest.raises(ValueError):
-            HRParams(LambdaRegime.INFINITY, alpha=1.0)
+            HRParams(math.inf, alpha=1.0)
         with pytest.raises(ValueError):
-            HRParams(LambdaRegime.ZERO, beta=-2.0)
+            HRParams(0.0, beta=-2.0)
 
     def test_order_values(self):
         assert [o.value for o in ApproxOrder] == [1, 2, 3]
@@ -390,6 +389,12 @@ class TestIClosed:
         with pytest.raises(ValueError):
             I_closed(0, -1.0, 0.0, 0.0)
 
+    def test_finite_where_the_weight_underflows(self):
+        # x^3 overflows where e^{-x} is 0; 0 * inf gave NaN
+        for k in range(4):
+            assert I_closed(k, 1.0, 1e103, 0.0) == 0.0
+        assert kappa1(1.0, 1.0, 1e103, 0.0) == 0.0
+
 
 class TestHrExpansion:
     POINTS = ((0.3, 1.1), (-1.0, -1.0), (2.0, -0.5), (-3.0, 4.0))
@@ -513,6 +518,13 @@ class TestHrApprox:
         # H = Lambda(0) and kappa = tau = 0 at the finite coordinate
         for order in ApproxOrder:
             assert hr_approx(100, params, x, y, order) == math.exp(-1.0)
+
+    def test_overflowed_coefficient_raises(self):
+        # alpha^2 overflows inside tau, which becomes inf - inf at the origin
+        p = HRParams.finite(1.0, 1e160, 0.0)
+        assert hr_approx(1000, p, 0.0, 0.0, ApproxOrder.FIRST) == hr_cdf(p, 0.0, 0.0)
+        with pytest.raises(ValueError, match="overflowed"):
+            hr_approx(1000, p, 0.0, 0.0, ApproxOrder.THIRD)
 
     def test_univariate_terms_at_huge_x(self):
         assert s_term(1e155) == 0.0
