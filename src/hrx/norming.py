@@ -99,8 +99,10 @@ def solve_bn(n: int) -> NormingConstant:
 
 
 def threshold(constant: NormingConstant, x: float) -> float:
-    """u_n(x) = b_n + x / b_n."""
+    """u_n(x) = b_n + x / b_n; x may be +-inf (a limit), never NaN."""
     check_n(constant.n)
+    if math.isnan(x):
+        raise ValueError(f"requires a grid value that is not NaN, got {x}")
     return constant.b + x / constant.b
 
 

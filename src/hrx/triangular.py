@@ -346,6 +346,7 @@ def lemma31_tail_approx(
     b2 = constant.b_squared
     b4 = b2 * b2
     u_x = threshold(constant, x)
+    u_y = threshold(constant, y)
     spread = math.sqrt((1.0 - rho) * (1.0 + rho))
     third = order is ApproxOrder.THIRD
 
@@ -361,4 +362,4 @@ def lemma31_tail_approx(
         integrand, y, math.inf, 1e-13, 1e-12,
         f"lemma 3.1 tail integral at n={n}, rho={rho!r}, x={x!r}, y={y!r}",
     ).value
-    return n * std_normal_survival(threshold(constant, y)) - integral
+    return n * std_normal_survival(u_y) - integral

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import math
+import operator
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import hrx
@@ -13,6 +16,40 @@ from hrx import (
     mc_triangular_maxima,
     quad_semi_infinite,
 )
+from hrx.gauss import check_rho
+from hrx.norming import check_n, solve_bn, threshold
+
+
+def _chunked_reference(
+    n: int, rho: float, x: float, y: float, trials: int, seed: int
+) -> tuple[float, float]:
+    """The sampler before streaming, kept verbatim: each chunk draws Z1
+    and Z2 whole and forms rho Z1 + spread Z2 out of place."""
+    n = check_n(n)
+    trials = operator.index(trials)
+    if trials < 1:
+        raise ValueError(f"requires trials >= 1, got {trials}")
+    check_rho(rho)
+    constant = solve_bn(n)
+    u1 = threshold(constant, x)
+    u2 = threshold(constant, y)
+    spread = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    rng = np.random.default_rng(seed)
+    rows_per_chunk = max(1, 2_000_000 // n)
+    hits = 0
+    remaining = trials
+    while remaining > 0:
+        m = min(rows_per_chunk, remaining)
+        z1 = rng.standard_normal((m, n))
+        z2 = rng.standard_normal((m, n))
+        x_max = z1.max(axis=1)
+        y_max = (rho * z1 + spread * z2).max(axis=1)
+        hits += int(np.count_nonzero((x_max <= u1) & (y_max <= u2)))
+        remaining -= m
+    estimate = hits / trials
+    std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
+    return estimate, std_error
 
 
 class TestQuadSemiInfinite:
@@ -125,11 +162,33 @@ class TestMonteCarlo:
         est, se = mc_triangular_maxima(50, 0.5, 1.0, 1.0, 50_000, 123)
         assert se == math.sqrt(est * (1.0 - est) / 50_000)
 
-    def test_chunking_invisible(self):
-        # trials above the internal chunk size follow the same stream
-        est_a, _ = mc_triangular_maxima(10**5, 0.5, 1.0, 1.0, 25, 5)
-        est_b, _ = mc_triangular_maxima(10**5, 0.5, 1.0, 1.0, 25, 5)
-        assert est_a == est_b
+    @pytest.mark.parametrize("n, rho, x, y, trials, seed", [
+        (50, 0.5, 1.0, 1.0, 100_000, 5),  # 3 chunks, the last one partial
+        (100_000, 0.5, 0.5, 1.0, 25, 6),  # 20-row chunks, 1-row blocks
+        (2_000_001, 0.5, 1.0, 2.0, 2, 7),  # a row longer than a chunk
+        (3, 0.5, 0.0, 0.0, 1, 8),
+        (50, -1.0, 1.0, 0.5, 41_317, 9),
+        (50, 0.0, 1.0, 0.5, 41_317, 10),
+        (50, 1.0, 1.0, 0.5, 41_317, 11),
+        (7, 0.3, -1.0, 2.0, 300_001, 12),  # no multiple of chunk or block
+    ])
+    def test_streaming_draws_as_chunked(self, n, rho, x, y, trials, seed):
+        # the streamed sampler sees the same doubles as the sampler that
+        # drew each chunk's Z1 and Z2 whole, so its estimates are equal
+        got = mc_triangular_maxima(n, rho, x, y, trials, seed)
+        assert got == _chunked_reference(n, rho, x, y, trials, seed)
+
+    @pytest.mark.parametrize("trials", [100_000, 1_000_000])
+    def test_memory_independent_of_trials(self, trials):
+        # numpy reports its buffers to tracemalloc; the buffers hold
+        # about 2e6 + 65536 doubles (16.1 MiB) whatever the trial count
+        tracemalloc.start()
+        try:
+            mc_triangular_maxima(50, 0.5, 1.0, 1.0, trials, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
     def test_unbiased_across_seeds(self):
         # the mean over many independent seeds must sit within four

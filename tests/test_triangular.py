@@ -467,6 +467,20 @@ class TestOneCheckPerInput:
         "HRParams": HRParams.finite,
     }
 
+    # a NaN grid value is caught where it becomes a threshold; +-inf
+    # stays a legal limit
+    GRID_CALLS = {
+        "threshold": lambda v, w: [threshold(hrx.solve_bn(10), t)
+                                   for t in (v, w)],
+        "exact_row_cdf": lambda v, w: exact_row_cdf(10, 0.5, ((v, w),)),
+        "exact_joint_max_cdf": lambda v, w: hrx.exact_joint_max_cdf(
+            10, 0.5, v, w),
+        "h_n_diagnostic": lambda v, w: h_n_diagnostic(10, 0.5, 1.0, v, w),
+        "lemma31": lambda v, w: lemma31_tail_approx(10**4, 0.5, v, w,
+                                                    ApproxOrder.SECOND),
+        "mc": lambda v, w: hrx.mc_triangular_maxima(10, 0.5, v, w, 1, 0),
+    }
+
     @pytest.mark.parametrize("call", list(N_CALLS.values()), ids=list(N_CALLS))
     def test_n(self, call):
         with pytest.raises(ValueError, match=r"^requires n >= 3, got 2$"):
@@ -485,3 +499,21 @@ class TestOneCheckPerInput:
     def test_lam(self, call, lam):
         with pytest.raises(ValueError, match=r"^requires finite lam > 0, "):
             call(lam)
+
+    @pytest.mark.parametrize("call", list(GRID_CALLS.values()),
+                             ids=list(GRID_CALLS))
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_grid_value(self, call, point):
+        with pytest.raises(ValueError,
+                           match=r"^requires a grid value that is not NaN, "):
+            call(*point)
+
+    def test_infinite_grid_value_is_a_limit(self):
+        assert hrx.exact_joint_max_cdf(10, 0.5, math.inf, math.inf) == 1.0
+        # F = 0 here, but 1 - F is assembled from survival pieces and
+        # reads 1 - eps, so F^10 is a rounding residue (2.8e-160)
+        assert 0.0 <= hrx.exact_joint_max_cdf(10, 0.5, -math.inf, 1.0) < 1e-150
+        assert hrx.mc_triangular_maxima(10, 0.5, math.inf, math.inf, 9, 0) \
+            == (1.0, 0.0)
+        assert hrx.mc_triangular_maxima(10, 0.5, -math.inf, 1.0, 9, 0) \
+            == (0.0, 0.0)
