@@ -1,111 +1,27 @@
 """Higher-order expansions of bivariate Gaussian maxima toward their
 max-stable limits: exact finite-n distributions, closed-form expansion
 coefficients, correlation-sequence constructors, and the verification
-oracles and CLI gluing them together."""
+oracles and CLI gluing them together.
 
-from .gauss import (
-    bivariate_normal_cdf,
-    bivariate_normal_survival,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-    std_normal_survival,
-)
-from .hr_core import (
-    ApproxOrder,
-    HRParams,
-    I_closed,
-    gumbel_cdf,
-    hr_approx,
-    hr_cdf,
-    hr_expansion,
-    kappa,
-    kappa1,
-    s_term,
-    t_term,
-    tau,
-    tau1,
-    tau2,
-    tau3,
-    univariate_gumbel_approx,
-)
-from .norming import NormingConstant, bn_expansion_residual, solve_bn, threshold
-from .oracle import (
-    I_k_quadrature,
-    QuadratureConvergenceError,
-    QuadratureResult,
-    mc_triangular_maxima,
-    quad_semi_infinite,
-)
-from .triangular import (
-    ArrayRow,
-    ConstantRho,
-    ConvergenceRecord,
-    CorollaryInfinity,
-    CorollaryZero,
-    RhoSequenceSpec,
-    ThirdOrderHR,
-    a_coefficients,
-    delta_error,
-    exact_joint_max_cdf,
-    exact_row_cdf,
-    h_n_diagnostic,
-    lemma31_tail_approx,
-    make_row,
-)
-from .cli import RateFit, StudyConfig, fit_rate, run_study
+Every public name of these modules re-exports from here; each module's
+`__all__` is the one list of its public names."""
+
+from . import cli, gauss, hr_core, norming, oracle, triangular
+from .gauss import *  # noqa: F401,F403
+from .norming import *  # noqa: F401,F403
+from .hr_core import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .triangular import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxOrder",
-    "ArrayRow",
-    "ConstantRho",
-    "ConvergenceRecord",
-    "CorollaryInfinity",
-    "CorollaryZero",
-    "HRParams",
-    "I_closed",
-    "I_k_quadrature",
-    "NormingConstant",
-    "QuadratureConvergenceError",
-    "QuadratureResult",
-    "RateFit",
-    "RhoSequenceSpec",
-    "StudyConfig",
-    "ThirdOrderHR",
-    "a_coefficients",
-    "bivariate_normal_cdf",
-    "bivariate_normal_survival",
-    "bn_expansion_residual",
-    "delta_error",
-    "exact_joint_max_cdf",
-    "exact_row_cdf",
-    "fit_rate",
-    "gumbel_cdf",
-    "h_n_diagnostic",
-    "hr_approx",
-    "hr_cdf",
-    "hr_expansion",
-    "kappa",
-    "kappa1",
-    "lemma31_tail_approx",
-    "make_row",
-    "mc_triangular_maxima",
-    "quad_semi_infinite",
-    "run_study",
-    "s_term",
-    "solve_bn",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
-    "std_normal_survival",
-    "t_term",
-    "tau",
-    "tau1",
-    "tau2",
-    "tau3",
-    "threshold",
-    "univariate_gumbel_approx",
+    *gauss.__all__,
+    *norming.__all__,
+    *hr_core.__all__,
+    *oracle.__all__,
+    *triangular.__all__,
+    *cli.__all__,
     "__version__",
 ]

@@ -60,7 +60,6 @@ __all__ = [
     "fit_rate",
     "write_records",
     "read_records",
-    "main",
 ]
 
 # Scaled errors lose meaning once the limit distribution underflows.
@@ -449,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--spec", help="constant | third-order | "
                        "corollary-infinity | corollary-zero")
     table.add_argument("--rho", help="correlation for the constant spec")
-    table.add_argument("--lambda", dest="lam", help="limit parameter")
+    table.add_argument("--lambda", dest="lambda", help="limit parameter")
     table.add_argument("--alpha", help="second-order refinement coefficient")
     table.add_argument("--beta", help="third-order refinement coefficient")
     table.add_argument("--gamma", help="corollary-infinity offset")
@@ -470,18 +469,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TABLE_KEYS = ("spec", "rho", "lam", "alpha", "beta", "gamma",
-               "tau_rate", "n", "grid", "out")
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     options: dict[str, str] = {}
     if args.config:
         options.update(_load_config_file(args.config))
-    for key in _TABLE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options["lambda" if key == "lam" else key] = value
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
+            options[key] = value
     records = run_study(build_study_config(options))
     out = options.get("out", "-")
     write_records(records, out)

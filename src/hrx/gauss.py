@@ -38,9 +38,11 @@ and rho in [-0.98, 0.9999] wherever the value is a normal double.
 `joint_tail_survival` is that rule over arrays: all tail pairs of one
 rho in one numpy pass, each value bitwise equal to the one-pair call
 that `bivariate_normal_survival` makes.  The survival is also bitwise
-symmetric in (h, k) for rho >= 0, in every branch; for rho < -0.925 the
-Genz branch negates k and is not.  Row evaluations in `triangular`
-rely on both facts to evaluate each threshold pair once.
+symmetric in (h, k) for every rho in (-1, 1), in every branch: the Genz
+branch for rho < -0.925 evaluates each pair in ascending order, the one
+order that keeps relative accuracy.  At rho = -1 it is the difference
+survival(h) - survival(-k), which is not.  Row evaluations in
+`triangular` rely on both facts to evaluate each threshold pair once.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ import sys
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcx, ndtri
+from scipy.special import erfcx
 
 from .quadrature import checked_quad
 
@@ -57,7 +59,6 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_survival",
-    "std_normal_quantile",
     "bivariate_normal_cdf",
     "bivariate_normal_survival",
     "check_rho",
@@ -157,17 +158,6 @@ def std_normal_survival(x: float) -> float:
     return std_normal_pdf(x) * _tail_cf(x)
 
 
-def std_normal_quantile(p: float) -> float:
-    """Inverse of cdf; one Newton step keeps it consistent with cdf."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile requires 0 < p < 1, got {p}")
-    z = float(ndtri(p))
-    d = std_normal_pdf(z)
-    if d > 0.0:
-        z -= (std_normal_cdf(z) - p) / d
-    return z
-
-
 # Gauss-Legendre nodes/weights for [-1, 1], halved rules: the 3-, 6- and
 # 10-point tables cover |rho| < 0.3, < 0.75 and the rest.
 _GL_NODES = (
@@ -251,7 +241,9 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
         return bvn
 
     if r < 0.0:
-        k = -k
+        # ascending order: with h > k the expansion cancels away every
+        # digit of a small result
+        h, k = min(h, k), -max(h, k)
         hk = -hk
     a2 = (1.0 - r) * (1.0 + r)
     a = math.sqrt(a2)

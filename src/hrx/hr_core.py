@@ -225,15 +225,6 @@ def approximants(
     return h, second, third
 
 
-def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:
-    """Expansion of Phi^n(u_n(x)) about Lambda(x), truncated per order."""
-    n = check_n(n)
-    if order is ApproxOrder.FIRST:
-        return gumbel_cdf(x)
-    b2 = solve_bn(n).b_squared
-    return approximants(gumbel_cdf(x), *_univariate_coeffs(x), b2)[order.value - 1]
-
-
 class _Point(NamedTuple):
     """What the closed forms at (lam, x, y) share, computed once: with
     w = lam + (y-x)/(2 lam), e^{-x}, Phi(w), Phi(2 lam - w), Phi-bar(w),
@@ -481,3 +472,9 @@ def hr_approx(
         return hr_cdf(params, x, y)
     b2 = solve_bn(n).b_squared
     return approximants(*hr_expansion(params, x, y), b2)[order.value - 1]
+
+
+def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:
+    """Expansion of Phi^n(u_n(x)) about Lambda(x), truncated per order:
+    the complete-dependence member (lam = 0) on the diagonal x = y."""
+    return hr_approx(n, HRParams.zero(), x, x, order)

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .gauss import check_rho, std_normal_pdf
+from .hr_core import check_lam
 from .norming import check_n, solve_bn, threshold
 from .quadrature import (
     QuadratureConvergenceError,
@@ -62,8 +63,7 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
     k = operator.index(k)
     if k not in (0, 1, 2, 3):
         raise ValueError(f"I_k is defined for k in 0..3, got {k}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"requires finite lam > 0, got {lam}")
+    check_lam(lam)
 
     def integrand(z: float) -> float:
         return std_normal_pdf(lam + (x - z) / (2.0 * lam)) * math.exp(-z) * z**k

@@ -19,10 +19,11 @@ exceedance probability).
 F^n is evaluated a whole row at a time (`exact_row_cdf`): u_n once per
 distinct grid value, the marginal survival once per distinct threshold,
 the joint survival once per distinct threshold pair, with every
-joint-tail pair in one batched pass.  Pairs are unordered for rho >= 0,
-where the joint survival is bitwise symmetric, and ordered for rho < 0,
-where the Genz branch is not.  The one-point functions are one-point
-rows, so each value is the same double either way.
+joint-tail pair in one batched pass.  Pairs are unordered for
+-1 < rho <= 1, where the joint survival is bitwise symmetric, and
+ordered at rho = -1, where it is a difference of marginals that is not.
+The one-point functions are one-point rows, so each value is the same
+double either way.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .gauss import (
+    _SATURATED,
     bivariate_normal_survival,
     check_rho,
     is_joint_tail,
@@ -214,13 +216,13 @@ def _joint_survivals(
 ) -> list[float]:
     """P(X > h, Y > k) for every pair, evaluated once per distinct pair.
 
-    The survival is bitwise symmetric in (h, k) for rho >= 0, so (h, k)
-    and (k, h) count as one pair there; for rho < -0.925 the Genz branch
-    negates k and breaks the symmetry, so rho < 0 keeps pairs ordered.
+    The survival is bitwise symmetric in (h, k) for rho > -1, so (h, k)
+    and (k, h) count as one pair there; at rho = -1 it is
+    P(h < X < -k), a difference that is not, so pairs stay ordered.
     Joint-tail pairs go to one batched Gauss-Laguerre pass, the rest to
     the scalar routine.
     """
-    symmetric = rho >= 0.0
+    symmetric = rho > -1.0
     keys = [(k, h) if symmetric and k < h else (h, k) for h, k in pairs]
     joint: dict[tuple[float, float], float] = {}
     tail = []
@@ -246,7 +248,7 @@ def _n_log_joint_row(
     accuracy is lost against 1.  u_n is formed once per distinct grid
     value, the marginal survival once per distinct threshold and the
     joint survival once per distinct threshold pair (unordered for
-    rho >= 0), so every value equals the one-point evaluation.
+    rho > -1), so every value equals the one-point evaluation.
     """
     constant = solve_bn(n)
     u: dict[float, float] = {}
@@ -262,7 +264,10 @@ def _n_log_joint_row(
         joint = _joint_survivals(thresholds, rho)
         pieces = [marginal[u1] + marginal[u2] - p
                   for (u1, u2), p in zip(thresholds, joint)]
-    return [-math.inf if s >= 1.0 else n * math.log1p(-s) for s in pieces]
+    # F <= Phi(min(u1, u2)), which is 0 in double once min(u1, u2) <= -40;
+    # 1 - s would leave a rounding residue there instead of 0
+    return [-math.inf if s >= 1.0 or min(t) <= -_SATURATED
+            else n * math.log1p(-s) for s, t in zip(pieces, thresholds)]
 
 
 def exact_row_cdf(

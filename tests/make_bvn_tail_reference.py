@@ -1,4 +1,5 @@
-"""Regenerate the frozen joint-tail table `BVN_TAIL_REFERENCE` in test_gauss.py.
+"""Regenerate the frozen bivariate tables `BVN_TAIL_REFERENCE` and
+`BVN_GENZ_REFERENCE` in test_gauss.py.
 
     python tests/make_bvn_tail_reference.py > table.txt
 
@@ -18,6 +19,18 @@ script checks instead of trusting mpmath's own error estimate: tanh-sinh
 while reporting an error of 1e-53.  The neglected tail beyond v = 80 is
 below e^{-80} of the integral.  Cases whose value is below 1e-300 are
 dropped, because subnormal doubles carry no relative accuracy.
+
+`BVN_GENZ_REFERENCE` holds pairs with h > k at -1 < rho < -0.925, the
+Genz branch of `bivariate_normal_survival` (min(h, k) < 3).  Each value
+is the conditional integral
+
+    P = int_h^inf phi(z) survival((k - rho*z)/s) dz
+
+by tanh-sinh `mp.quad`, with breakpoints at the scale of phi near h and
+around the edge z = k/rho of the survival factor, whose width is
+s/|rho|.  The same integral with h and k exchanged conditions on the
+other variable; the two orders must agree to 1e-25 relative, which
+guards against the misreported errors of tanh-sinh noted above.
 """
 from __future__ import annotations
 
@@ -44,6 +57,16 @@ RHOS_AND_POINTS = [
     (0.999, [(3.0, 4.0), (8.0, 8.0), (25.0, 30.0), (37.0, 36.0)]),
     (0.9999, [(3.0, 3.0), (3.0, 3.1), (6.2, 6.2), (12.0, 11.0),
               (30.0, 30.0), (37.0, 37.0), (36.5, 37.0)]),
+]
+
+# (h, k, rho) with h > k and -1 < rho < -0.925
+GENZ_POINTS = [
+    (8.5744, -8.9823, -0.99367), (8.68, -8.25, -0.93), (8.9, -8.95, -0.999),
+    (6.0, -6.5, -0.96), (5.27, -7.31, -0.977), (5.57, -7.37, -0.948),
+    (2.9, -3.2, -0.99), (2.5, -2.6, -0.98), (1.3, -6.6, -0.973),
+    (1.08, -0.86, -0.93), (0.51, -8.73, -0.995), (0.21, -5.68, -0.953),
+    (0.14, -0.62, -0.956), (-0.65, -1.07, -0.94), (-3.3, -4.9, -0.978),
+    (-4.6, -5.6, -0.997),
 ]
 
 _NODES = GaussLegendre(mp).calc_nodes(4, mp.prec)  # 24 points on [-1, 1]
@@ -86,6 +109,29 @@ def joint_tail(h: float, k: float, rho: float) -> mpf:
     return mpmath.npdf(a) / a * fine
 
 
+def _conditional(h: float, k: float, rho: float) -> mpf:
+    h, k, r = mpf(h), mpf(k), mpf(rho)
+    s = mpmath.sqrt((1 - r) * (1 + r))
+    step = 1 / max(abs(h), mpf(1))
+    edge, width = k / r, s / abs(r)
+    breaks = {h, *(h + j * step for j in range(1, 41)),
+              *(edge + j * width for j in range(-12, 13))}
+    breaks = sorted(b for b in breaks if b >= h)
+
+    def f(z):
+        return mpmath.npdf(z) * _survival((k - r * z) / s)
+
+    return mp.quad(f, breaks + [mp.inf])
+
+
+def genz_survival(h: float, k: float, rho: float) -> mpf:
+    by_x = _conditional(h, k, rho)
+    by_y = _conditional(k, h, rho)
+    if abs(by_x - by_y) > mpf("1e-25") * by_x:
+        raise RuntimeError(f"orders disagree at {(h, k, rho)}: {by_x} vs {by_y}")
+    return by_x
+
+
 def main() -> None:
     print("BVN_TAIL_REFERENCE = [")
     print("    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles")
@@ -95,6 +141,11 @@ def main() -> None:
             if value < 1e-300:
                 continue
             print(f"    ({h!r}, {k!r}, {rho!r}, {value!r}),")
+    print("]")
+    print("BVN_GENZ_REFERENCE = [")
+    print("    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles")
+    for h, k, rho in GENZ_POINTS:
+        print(f"    ({h!r}, {k!r}, {rho!r}, {float(genz_survival(h, k, rho))!r}),")
     print("]")
 
 
