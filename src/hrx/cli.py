@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .hr_core import (
     approximants,
     hr_approx,  # unused here; perfbench's tracer wraps this binding
     hr_cdf,
-    hr_expansion,
+    hr_expansion_grid,
     tau3,
 )
 from .norming import check_n, solve_bn
@@ -116,31 +117,35 @@ class RateFit:
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """One record per (n, grid point), n-major, in deterministic order.
 
-    H, kappa and tau do not depend on n: they are evaluated once per grid
-    point and every row combines them with its own b_n^2.  The exact
-    F^n is one `exact_row_cdf` call per row over the points whose H is
-    above the floor.
+    H, kappa and tau do not depend on n: one `hr_expansion_grid` pass
+    gives them at every grid point, and each row combines them with its
+    own b_n^2 as arrays.  The exact F^n is one `exact_row_cdf` call per
+    row over the points whose H is above the floor.  Every record field
+    is a Python float, the same double a point-by-point evaluation gives.
     """
     rows = [make_row(config.spec, n) for n in config.n_values]
-    params = config.spec.params
-    terms = [hr_expansion(params, x, y) for x, y in config.grid]
-    evaluated = [not h < _H_FLOOR for h, _, _ in terms]
-    points = [p for p, keep in zip(config.grid, evaluated) if keep]
+    h, c1, c2 = hr_expansion_grid(config.spec.params, config.grid)
+    keep = ~(h < _H_FLOOR)
+    h, c1, c2 = h[keep], c1[keep], c2[keep]
+    evaluated = keep.tolist()
+    points = [p for p, kept in zip(config.grid, evaluated) if kept]
+    skipped = (None, None, None)
     records = []
     for row in rows:
         b2 = row.b.b_squared
-        b4, b6 = b2**2, b2**3
-        exact_values = iter(exact_row_cdf(row.n, row.rho, points))
-        for (x, y), (h, c1, c2), keep in zip(config.grid, terms, evaluated):
-            if keep:
-                exact = next(exact_values)
-                a1, a2, a3 = approx = approximants(h, c1, c2, b2)
-                e1, e2, e3 = abs(exact - a1), abs(exact - a2), abs(exact - a3)
-                cells = approx, (e1, e2, e3), (e1 * b2, e2 * b4, e3 * b6)
+        exact = np.array(exact_row_cdf(row.n, row.rho, points))
+        approx = approximants(h, c1, c2, b2)
+        err = [abs(exact - a) for a in approx]
+        scaled = [e * b2**k for k, e in enumerate(err, start=1)]
+        values = iter(np.column_stack([exact, *approx, *err, *scaled]).tolist())
+        for (x, y), kept in zip(config.grid, evaluated):
+            if kept:
+                v = next(values)
+                cells = v[0], tuple(v[1:4]), tuple(v[4:7]), tuple(v[7:10])
             else:
-                exact, cells = None, ((None, None, None),) * 3
+                cells = None, skipped, skipped, skipped
             records.append(ConvergenceRecord(
-                row.n, row.b.b, row.rho, x, y, exact, *cells, row.clipped,
+                row.n, row.b.b, row.rho, x, y, *cells, row.clipped,
             ))
     return records
 
@@ -435,7 +440,9 @@ def _verify_oracle(seed: int) -> list[tuple[str, bool, str]]:
 
 # -- entry point ----------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args keeps no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="hrx",
         description="Convergence studies for bivariate Gaussian maxima "

@@ -31,8 +31,10 @@ dependence), built from the univariate s and t.
 
 H, kappa and tau do not depend on n: `hr_expansion` gives (H, kappa,
 tau + kappa^2/2) at one point, computing what the closed forms share
-once, and `approximants` combines them with b_n^2.  The scalar
-coefficient functions wrap the same per-point pieces.
+once; `hr_expansion_grid` gives the same doubles over a grid, sharing
+each term across the points whose value or (y-x)/(2 lam) it depends on.
+`approximants` combines them with b_n^2.  The closed forms run on floats
+or arrays alike, whose + - * / round exactly as Python's.
 
 Every function here is an exact transcription of a closed form; all the
 integrals have independent quadrature oracles in the test suite.
@@ -43,7 +45,10 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .gauss import std_normal_cdf, std_normal_pdf, std_normal_survival
 from .norming import check_n, solve_bn
@@ -65,9 +70,13 @@ __all__ = [
     "tau",
     "I_closed",
     "hr_expansion",
+    "hr_expansion_grid",
     "approximants",
     "hr_approx",
 ]
+
+# A term at one point, or elementwise over a grid's points
+_Real = float | np.ndarray
 
 # Finite lam this close to a boundary is evaluated by the corresponding
 # limit member: (y - x)/(2 lam) is no longer trustworthy beyond these.
@@ -136,10 +145,12 @@ def _exp_neg(x: float) -> float:
         return math.inf
 
 
-def _weighted(poly: float, w1: float, w2: float = 1.0) -> float:
+def _weighted(poly: _Real, w1: _Real, w2: _Real = 1.0) -> _Real:
     """poly * w1 * w2 for exponential weights w1, w2, or 0 where a weight
     is 0: far out in x or y the weight underflows while poly overflows,
-    and 0 * inf would be NaN."""
+    and 0 * inf would be NaN.  Elementwise where w1 is an array."""
+    if isinstance(w1, np.ndarray):
+        return np.where((w1 == 0.0) | (w2 == 0.0), 0.0, poly * w1 * w2)
     if w1 == 0.0 or w2 == 0.0:
         return 0.0
     return poly * w1 * w2
@@ -161,14 +172,19 @@ def _limit_lam(params: HRParams) -> float:
     return lam
 
 
-def _finite_hr(cdf_w: float, ex: float, cdf_v: float, ey: float) -> float:
-    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}.
+def _finite_hr(cdf_w: _Real, ex: _Real, cdf_v: _Real, ey: _Real) -> _Real:
+    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}, at one point
+    or elementwise over arrays.
 
     Once e^{-x} or e^{-y} overflows, H <= min(Lambda(x), Lambda(y))
-    is 0 in double precision; 0 * inf would make it NaN instead."""
-    if ex == math.inf or ey == math.inf:
-        return 0.0
-    return math.exp(-cdf_w * ex - cdf_v * ey)
+    is 0 in double precision; 0 * inf would make it NaN instead.  The
+    exponential is math.exp at every point: numpy's exp is off by an ulp
+    on some arguments."""
+    overflowed = (ex == math.inf) | (ey == math.inf)
+    arg = -cdf_w * ex - cdf_v * ey
+    if isinstance(arg, np.ndarray):
+        return np.where(overflowed, 0.0, [math.exp(a) for a in arg.tolist()])
+    return 0.0 if overflowed else math.exp(arg)
 
 
 def hr_cdf(params: HRParams, x: float, y: float) -> float:
@@ -203,68 +219,92 @@ def _univariate_coeffs(x: float) -> tuple[float, float]:
 
 
 def approximants(
-    h: float, c1: float, c2: float, b2: float
-) -> tuple[float, float, float]:
+    h: _Real, c1: _Real, c2: _Real, b2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-, second- and third-order approximants H, H (1 + c1/b2) and
-    H (1 + c1/b2 + c2/b2^2); the last two are clamped to [0, 1].
+    H (1 + c1/b2 + c2/b2^2), elementwise over arrays of terms; the last
+    two are clamped to [0, 1].
 
     H = 0 gives zeros: where e^{-x} overflows, H is 0 but c1 and c2 are
     infinite or NaN, and 0 * inf would be NaN.  Elsewhere a NaN
     coefficient (inf - inf inside tau, for alpha or beta beyond about
-    1e154) raises ValueError: no approximant can be formed from it."""
-    if h == 0.0:
-        return 0.0, 0.0, 0.0
-    value = 1.0 + c1 / b2
-    second = min(max(h * value, 0.0), 1.0)
-    value += c2 / (b2 * b2)
-    third = min(max(h * value, 0.0), 1.0)
-    if math.isnan(second) or math.isnan(third):
+    1e154) raises ValueError naming the first such point's coefficients:
+    no approximant can be formed from them."""
+    h, c1, c2 = np.asarray(h), np.asarray(c1), np.asarray(c2)
+    zero = h == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 1.0 + c1 / b2
+        second = np.clip(h * value, 0.0, 1.0)
+        value = value + c2 / (b2 * b2)
+        third = np.clip(h * value, 0.0, 1.0)
+    overflowed = ~zero & (np.isnan(second) | np.isnan(third))
+    if overflowed.any():
+        i = overflowed.argmax()
         raise ValueError(
-            f"expansion coefficients c1={c1!r}, c2={c2!r} overflowed"
+            f"expansion coefficients c1={float(c1.flat[i])!r}, "
+            f"c2={float(c2.flat[i])!r} overflowed"
         )
-    return h, second, third
+    return h, np.where(zero, 0.0, second), np.where(zero, 0.0, third)
 
 
 class _Point(NamedTuple):
-    """What the closed forms at (lam, x, y) share, computed once: with
-    w = lam + (y-x)/(2 lam), e^{-x}, Phi(w), Phi(2 lam - w), Phi-bar(w),
-    phi(w), and lam^2..lam^8."""
+    """What the closed forms at (lam, x, y) share, computed once: e^{-v},
+    s(v), t(v) at v = x, y; Phi(w), Phi(2 lam - w), Phi-bar(w), phi(w) at
+    w = lam + (y-x)/(2 lam); lam^2..lam^8.  Fields but lam and powers are
+    floats at one point or arrays over a grid."""
 
     lam: float
-    x: float
-    y: float
-    ex: float
-    cdf_w: float
-    cdf_v: float
-    sf_w: float
-    pdf_w: float
+    x: _Real
+    y: _Real
+    ex: _Real
+    sx: _Real
+    tx: _Real
+    ey: _Real
+    sy: _Real
+    ty: _Real
+    cdf_w: _Real
+    cdf_v: _Real
+    sf_w: _Real
+    pdf_w: _Real
     powers: tuple[float, float, float, float, float, float, float]
 
 
-def _point(lam: float, x: float, y: float) -> _Point:
-    half = (y - x) / (2.0 * lam)
+def _value_terms(v: float) -> tuple[float, float, float]:
+    """(e^{-v}, s(v), t(v)): the terms of one coordinate."""
+    return _exp_neg(v), s_term(v), t_term(v)
+
+
+def _normal_terms(lam: float, half: float) -> tuple[float, float, float, float]:
+    """Phi(w), Phi(2 lam - w), Phi-bar(w) and phi(w) at w = lam + half,
+    with half = (y-x)/(2 lam)."""
     w = lam + half
+    return (std_normal_cdf(w), std_normal_cdf(lam - half),
+            std_normal_survival(w), std_normal_pdf(w))
+
+
+def _powers(lam: float) -> tuple[float, float, float, float, float, float, float]:
     l2 = lam * lam
     l4 = l2 * l2
     l6 = l4 * l2
-    return _Point(
-        lam, x, y, _exp_neg(x), std_normal_cdf(w), std_normal_cdf(lam - half),
-        std_normal_survival(w), std_normal_pdf(w),
-        (l2, l2 * lam, l4, l4 * lam, l6, l6 * lam, l4 * l4),
-    )
+    return l2, l2 * lam, l4, l4 * lam, l6, l6 * lam, l4 * l4
 
 
-def _kappa(alpha: float, p: _Point) -> float:
+def _point(lam: float, x: float, y: float) -> _Point:
+    return _Point(lam, x, y, *_value_terms(x), *_value_terms(y),
+                  *_normal_terms(lam, (y - x) / (2.0 * lam)), _powers(lam))
+
+
+def _kappa(alpha: float, p: _Point) -> _Real:
     lam, x, y = p.lam, p.x, p.y
     return (
-        s_term(x) * p.cdf_w
-        + s_term(y) * p.cdf_v
+        p.sx * p.cdf_w
+        + p.sy * p.cdf_v
         + _weighted(2.0 * alpha - lam * (lam * lam + x + y + 2.0),
                     p.ex, p.pdf_w)
     )
 
 
-def _tau1(alpha: float, beta: float, p: _Point) -> float:
+def _tau1(alpha: float, beta: float, p: _Point) -> _Real:
     lam, x, y, ex = p.lam, p.x, p.y, p.ex
     l2, l3, l4, l5, l6, l7, l8 = p.powers
     a2 = alpha * alpha
@@ -301,7 +341,7 @@ def _tau1(alpha: float, beta: float, p: _Point) -> float:
     return _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 
 
-def _tau2(alpha: float, p: _Point) -> float:
+def _tau2(alpha: float, p: _Point) -> _Real:
     lam, x, y, ex = p.lam, p.x, p.y, p.ex
     l2, l3, l4, l5, l6, l7, l8 = p.powers
     c_pb = (
@@ -332,11 +372,11 @@ def _tau2(alpha: float, p: _Point) -> float:
     return _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 
 
-def _tau3(p: _Point) -> float:
+def _tau3(p: _Point) -> _Real:
     lam, x, y, ex = p.lam, p.x, p.y, p.ex
     l2, l3, l4, l5, l6, l7, l8 = p.powers
     # -t(y) Phi(lam + (x-y)/(2 lam)): the boundary term at z = y
-    lead = -t_term(y) * p.cdf_v
+    lead = -p.ty * p.cdf_v
     c_pb = (
         4.0 * l6 * x
         - 3.0 * l4 * x * x
@@ -376,8 +416,15 @@ def _tau3(p: _Point) -> float:
     return lead + _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 
 
-def _tau(alpha: float, beta: float, p: _Point) -> float:
-    return t_term(p.x) + _tau1(alpha, beta, p) + _tau2(alpha, p) - _tau3(p)
+def _tau(alpha: float, beta: float, p: _Point) -> _Real:
+    return p.tx + _tau1(alpha, beta, p) + _tau2(alpha, p) - _tau3(p)
+
+
+def _terms(params: HRParams, p: _Point) -> tuple[_Real, _Real, _Real]:
+    """(H, c1, c2) from the shared pieces of an interior lam."""
+    c1 = _kappa(params.alpha, p)
+    c2 = _tau(params.alpha, params.beta, p) + 0.5 * c1 * c1
+    return _finite_hr(p.cdf_w, p.ex, p.cdf_v, p.ey), c1, c2
 
 
 def _checked_point(lam: float, x: float, y: float) -> _Point:
@@ -457,10 +504,39 @@ def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, fl
         ssum = s_term(x) + s_term(y)
         return (hr_cdf(params, x, y), ssum,
                 t_term(x) + t_term(y) + 0.5 * ssum * ssum)
-    p = _point(lam, x, y)
-    c1 = _kappa(params.alpha, p)
-    c2 = _tau(params.alpha, params.beta, p) + 0.5 * c1 * c1
-    return _finite_hr(p.cdf_w, p.ex, p.cdf_v, _exp_neg(y)), c1, c2
+    return _terms(params, _point(lam, x, y))
+
+
+def _per_distinct(fn: Callable, values: np.ndarray) -> list[np.ndarray]:
+    """fn's outputs at each element of a 1-d array, one array per output,
+    calling fn once per distinct value.  0.0 and -0.0 are one value: t
+    alone tells them apart, and c2's final + kappa^2/2 drops that sign."""
+    keys, at = np.unique(values, return_inverse=True)
+    return [np.array(column)[at] for column in zip(*map(fn, keys.tolist()))]
+
+
+def hr_expansion_grid(
+    params: HRParams, points: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`hr_expansion` at every (x, y) of points, as three float arrays
+    (H, c1, c2) holding the doubles it gives point by point.
+
+    For an interior lam, the terms of a coordinate are computed once per
+    distinct grid value, the normal functions once per distinct
+    (y-x)/(2 lam), and each closed form once over the arrays."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    lam = _limit_lam(params)
+    if lam in (0.0, math.inf) or not len(xy):
+        terms = [hr_expansion(params, x, y) for x, y in xy.tolist()]
+        return tuple(np.array(terms).reshape(-1, 3).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = xy.T
+        by_value = _per_distinct(_value_terms, xy.ravel())
+        (ex, ey), (sx, sy), (tx, ty) = (c.reshape(-1, 2).T for c in by_value)
+        half = (y - x) / (2.0 * lam)
+        normal = _per_distinct(partial(_normal_terms, lam), half)
+        p = _Point(lam, x, y, ex, sx, tx, ey, sy, ty, *normal, _powers(lam))
+        return _terms(params, p)
 
 
 def hr_approx(
@@ -471,7 +547,7 @@ def hr_approx(
     if order is ApproxOrder.FIRST:
         return hr_cdf(params, x, y)
     b2 = solve_bn(n).b_squared
-    return approximants(*hr_expansion(params, x, y), b2)[order.value - 1]
+    return float(approximants(*hr_expansion(params, x, y), b2)[order.value - 1])
 
 
 def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .gauss import (
-    _SATURATED,
     bivariate_normal_survival,
     check_rho,
     is_joint_tail,
@@ -211,6 +210,11 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     return ArrayRow(n, constant, rho, lambda_n, delta_n, clipped)
 
 
+# exp(v) rounds to 0 for v below log(2^-1075) = -745.1332; the margin
+# keeps a bound's own rounding clear of that point
+_LOG_UNDERFLOW = -745.2
+
+
 def _joint_survivals(
     pairs: Sequence[tuple[float, float]], rho: float
 ) -> list[float]:
@@ -264,9 +268,12 @@ def _n_log_joint_row(
         joint = _joint_survivals(thresholds, rho)
         pieces = [marginal[u1] + marginal[u2] - p
                   for (u1, u2), p in zip(thresholds, joint)]
-    # F <= Phi(min(u1, u2)), which is 0 in double once min(u1, u2) <= -40;
-    # 1 - s would leave a rounding residue there instead of 0
-    return [-math.inf if s >= 1.0 or min(t) <= -_SATURATED
+    # F <= Phi(min(u1, u2)), so F^n is 0 in double wherever
+    # n log Phi(min(u1, u2)) lies below the exp underflow point; 1 - s
+    # would leave a rounding residue there instead of 0
+    floor = math.exp(_LOG_UNDERFLOW / n)
+    zero = {t: std_normal_cdf(t) < floor for t in {min(t) for t in thresholds}}
+    return [-math.inf if s >= 1.0 or zero[min(t)]
             else n * math.log1p(-s) for s, t in zip(pieces, thresholds)]
 
 

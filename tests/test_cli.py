@@ -84,6 +84,8 @@ def check_record(record, spec):
         assert record.approx == record.err == record.scaled == (None,) * 3
         return
     assert record.exact == hrx.exact_joint_max_cdf(record.n, record.rho, x, y)
+    cells = (record.exact, *record.approx, *record.err, *record.scaled)
+    assert {type(v) for v in cells} == {float}
     b2 = row.b.b_squared
     for order in ApproxOrder:
         k = order.value - 1
@@ -168,6 +170,14 @@ class TestRunStudy:
         with pytest.raises(hrx.QuadratureConvergenceError) as info:
             run_study(config)
         assert info.value.partial == unconverged_quad
+
+    def test_overflowed_coefficient_raises(self):
+        # alpha^2 overflows inside tau, which becomes inf - inf at the
+        # origin; the whole-row approximants name the point's coefficients
+        config = StudyConfig(hrx.ThirdOrderHR(1.0, 1e160, 0.0), (1000,),
+                             ((1.0, 1.0), (0.0, 0.0)))
+        with pytest.raises(ValueError, match=r"c1=.*, c2=nan overflowed"):
+            run_study(config)
 
     def test_deterministic(self):
         assert run_study(SMALL_CONFIG) == run_study(SMALL_CONFIG)
@@ -455,6 +465,16 @@ class TestMain:
         assert main([]) == 1
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_calls_share_no_values(self, capsys):
+        # one parser serves every call of a process; no flag of one call
+        # may reach the next
+        argv = ["table", "--spec", "constant", "--n", "100", "--grid", "0,0"]
+        assert main(argv[:3] + ["--rho", "0.5"] + argv[3:]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "requires 'rho'" in capsys.readouterr().err
+        assert _build_parser() is _build_parser()
 
     def test_table_rejects_seed(self, tmp_path, capsys):
         # table never used a seed; a config file's seed key is still

@@ -21,6 +21,7 @@ from hrx import (
     hr_approx,
     hr_cdf,
     hr_expansion,
+    hr_expansion_grid,
     kappa,
     kappa1,
     s_term,
@@ -447,6 +448,67 @@ class TestHrExpansion:
         h, c1, c2 = hr_expansion(HRParams.finite(1e-5), 0.0, 6.014285714285714)
         assert h == gumbel_cdf(0.0)
         assert math.isfinite(c1) and math.isfinite(c2)
+
+
+# lam at both boundaries, around both cutoffs, and in the interior
+GRID_LAMS = st.one_of(
+    st.sampled_from([0.0, math.inf, 1e-7, 9.99e-7, 1e-6, 1.01e-6,
+                     9.9e5, 1e6, 1.01e6, 1e7]),
+    st.floats(0.05, 7.0),
+)
+# a few values repeat across a grid; the special ones sit where e^{-v}
+# overflows or the polynomials overflow while their weight underflows
+GRID_VALUES = st.one_of(
+    st.sampled_from([-3.0, -0.5, 0.0, -0.0, 1.25, 4.0]),
+    st.sampled_from([709.78, -709.78, 1e78, -1e78, 1e155, -1e155]),
+    st.floats(-40.0, 40.0),
+)
+
+
+@st.composite
+def grid_params(draw):
+    lam = draw(GRID_LAMS)
+    if lam in (0.0, math.inf):
+        return HRParams(lam)
+    return HRParams.finite(lam, draw(st.floats(-5.0, 5.0)),
+                           draw(st.floats(-20.0, 20.0)))
+
+
+def same_double(a: float, b: float) -> bool:
+    """a and b are the same double: zeros agree in sign, NaN matches NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestHrExpansionGrid:
+    @pytest.mark.filterwarnings("error")
+    @given(grid_params(),
+           st.lists(st.tuples(GRID_VALUES, GRID_VALUES), min_size=1, max_size=25))
+    def test_grid_is_pointwise_bit_for_bit(self, params, points):
+        grid = hr_expansion_grid(params, points)
+        for i, (x, y) in enumerate(points):
+            for got, want in zip(grid, hr_expansion(params, x, y)):
+                assert same_double(float(got[i]), want), (x, y)
+
+    def test_empty_grid(self):
+        for params in (HRParams.finite(1.0, 2.0, 5.0), HRParams.zero()):
+            assert [len(a) for a in hr_expansion_grid(params, [])] == [0, 0, 0]
+
+    def test_scalar_functions_return_python_floats(self):
+        values = []
+        for x, y in ((0.5, 1.0), (-710.0, 1.0), (1e155, 0.0)):
+            for p in (HRParams.finite(1.0, 2.0, 5.0), HRParams.zero(),
+                      HRParams.infinity()):
+                values += [*hr_expansion(p, x, y), hr_cdf(p, x, y)]
+                values += [hr_approx(1000, p, x, y, o) for o in ApproxOrder]
+            values += [kappa(2.0, 1.0, x, y), kappa1(2.0, 1.0, x, y),
+                       tau(2.0, 5.0, 1.0, x, y), tau1(2.0, 5.0, 1.0, x, y),
+                       tau2(2.0, 1.0, x, y), tau3(1.0, x, y),
+                       *(I_closed(k, 1.0, x, y) for k in range(4)),
+                       s_term(x), t_term(x), gumbel_cdf(x),
+                       univariate_gumbel_approx(1000, x, ApproxOrder.THIRD)]
+        assert {type(v) for v in values} == {float}
 
 
 class TestHrApprox:

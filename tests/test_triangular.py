@@ -513,6 +513,10 @@ class TestOneCheckPerInput:
         # F <= Phi(u_n(-inf)) = 0, although 1 - F assembled from survival
         # pieces would read 1 - eps
         assert hrx.exact_joint_max_cdf(10, 0.5, -math.inf, 1.0) == 0.0
+        # likewise at u_10(-40) = -29.9 and u_10(-30) = -22.1, where the
+        # bound Phi(u)^10 is far below the smallest double
+        assert hrx.exact_joint_max_cdf(10, 0.5, -40.0, 1.0) == 0.0
+        assert hrx.exact_joint_max_cdf(10, 0.5, -30.0, 1.0) == 0.0
         assert hrx.mc_triangular_maxima(10, 0.5, math.inf, math.inf, 9, 0) \
             == (1.0, 0.0)
         assert hrx.mc_triangular_maxima(10, 0.5, -math.inf, 1.0, 9, 0) \
