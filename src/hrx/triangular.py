@@ -268,12 +268,12 @@ def _n_log_joint_row(
         joint = _joint_survivals(thresholds, rho)
         pieces = [marginal[u1] + marginal[u2] - p
                   for (u1, u2), p in zip(thresholds, joint)]
-    # F <= Phi(min(u1, u2)), so F^n is 0 in double wherever
-    # n log Phi(min(u1, u2)) lies below the exp underflow point; 1 - s
-    # would leave a rounding residue there instead of 0
-    floor = math.exp(_LOG_UNDERFLOW / n)
-    zero = {t: std_normal_cdf(t) < floor for t in {min(t) for t in thresholds}}
-    return [-math.inf if s >= 1.0 or zero[min(t)]
+    # F <= Phi(min(u1, u2)).  Where n log Phi(min(u1, u2)) lies below the
+    # exp underflow point it stands in for n log F, of which 1 - s keeps
+    # only a rounding residue there; F^n is 0 in double either way
+    caps = {t: n * math.log(p) if (p := std_normal_cdf(t)) > 0.0 else -math.inf
+            for t in {min(t) for t in thresholds}}
+    return [-math.inf if s >= 1.0 else c if (c := caps[min(t)]) < _LOG_UNDERFLOW
             else n * math.log1p(-s) for s, t in zip(pieces, thresholds)]
 
 

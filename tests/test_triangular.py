@@ -517,6 +517,9 @@ class TestOneCheckPerInput:
         # bound Phi(u)^10 is far below the smallest double
         assert hrx.exact_joint_max_cdf(10, 0.5, -40.0, 1.0) == 0.0
         assert hrx.exact_joint_max_cdf(10, 0.5, -30.0, 1.0) == 0.0
+        # h_n there is n log F + ~e^{40}, with |n log F| < 5000: finite
+        h = hrx.h_n_diagnostic(10, 0.5, 1.0, -40.0, 1.0)
+        assert math.isclose(h, math.exp(40.0), rel_tol=1e-12)
         assert hrx.mc_triangular_maxima(10, 0.5, math.inf, math.inf, 9, 0) \
             == (1.0, 0.0)
         assert hrx.mc_triangular_maxima(10, 0.5, -math.inf, 1.0, 9, 0) \
