@@ -125,11 +125,9 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """
     rows = [make_row(config.spec, n) for n in config.n_values]
     h, c1, c2 = hr_expansion_grid(config.spec.params, config.grid)
-    keep = ~(h < _H_FLOOR)
+    keep = (~(h < _H_FLOOR)).tolist()
     h, c1, c2 = h[keep], c1[keep], c2[keep]
-    evaluated = keep.tolist()
-    points = [p for p, kept in zip(config.grid, evaluated) if kept]
-    skipped = (None, None, None)
+    points = [p for p, kept in zip(config.grid, keep) if kept]
     records = []
     for row in rows:
         b2 = row.b.b_squared
@@ -138,14 +136,11 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
         err = [abs(exact - a) for a in approx]
         scaled = [e * b2**k for k, e in enumerate(err, start=1)]
         values = iter(np.column_stack([exact, *approx, *err, *scaled]).tolist())
-        for (x, y), kept in zip(config.grid, evaluated):
-            if kept:
-                v = next(values)
-                cells = v[0], tuple(v[1:4]), tuple(v[4:7]), tuple(v[7:10])
-            else:
-                cells = None, skipped, skipped, skipped
+        for (x, y), kept in zip(config.grid, keep):
+            v = next(values) if kept else [None] * 10
             records.append(ConvergenceRecord(
-                row.n, row.b.b, row.rho, x, y, *cells, row.clipped,
+                row.n, row.b.b, row.rho, x, y, v[0], tuple(v[1:4]),
+                tuple(v[4:7]), tuple(v[7:10]), row.clipped,
             ))
     return records
 

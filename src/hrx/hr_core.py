@@ -31,10 +31,8 @@ dependence), built from the univariate s and t.
 
 H, kappa and tau do not depend on n: `hr_expansion` gives (H, kappa,
 tau + kappa^2/2) at one point, computing what the closed forms share
-once; `hr_expansion_grid` gives the same doubles over a grid, sharing
-each term across the points whose value or (y-x)/(2 lam) it depends on.
-`approximants` combines them with b_n^2.  The closed forms run on floats
-or arrays alike, whose + - * / round exactly as Python's.
+once, `hr_expansion_grid` gives them over a grid (the closed forms run
+on floats or arrays alike), and `approximants` combines them with b_n^2.
 
 Every function here is an exact transcription of a closed form; all the
 integrals have independent quadrature oracles in the test suite.
@@ -45,7 +43,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,8 +72,7 @@ __all__ = [
     "hr_approx",
 ]
 
-# A term at one point, or elementwise over a grid's points
-_Real = float | np.ndarray
+_Real = float | np.ndarray  # a term at one point, or over a grid
 
 # Finite lam this close to a boundary is evaluated by the corresponding
 # limit member: (y - x)/(2 lam) is no longer trustworthy beyond these.
@@ -148,12 +144,10 @@ def _exp_neg(x: float) -> float:
 def _weighted(poly: _Real, w1: _Real, w2: _Real = 1.0) -> _Real:
     """poly * w1 * w2 for exponential weights w1, w2, or 0 where a weight
     is 0: far out in x or y the weight underflows while poly overflows,
-    and 0 * inf would be NaN.  Elementwise where w1 is an array."""
+    and 0 * inf would be NaN."""
     if isinstance(w1, np.ndarray):
         return np.where((w1 == 0.0) | (w2 == 0.0), 0.0, poly * w1 * w2)
-    if w1 == 0.0 or w2 == 0.0:
-        return 0.0
-    return poly * w1 * w2
+    return 0.0 if w1 == 0.0 or w2 == 0.0 else poly * w1 * w2
 
 
 def gumbel_cdf(x: float) -> float:
@@ -173,13 +167,11 @@ def _limit_lam(params: HRParams) -> float:
 
 
 def _finite_hr(cdf_w: _Real, ex: _Real, cdf_v: _Real, ey: _Real) -> _Real:
-    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}, at one point
-    or elementwise over arrays.
+    """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}.
 
     Once e^{-x} or e^{-y} overflows, H <= min(Lambda(x), Lambda(y))
-    is 0 in double precision; 0 * inf would make it NaN instead.  The
-    exponential is math.exp at every point: numpy's exp is off by an ulp
-    on some arguments."""
+    is 0 in double precision; 0 * inf would make it NaN instead.  Over
+    arrays, exp is still math.exp: numpy's is off by an ulp at times."""
     overflowed = (ex == math.inf) | (ey == math.inf)
     arg = -cdf_w * ex - cdf_v * ey
     if isinstance(arg, np.ndarray):
@@ -230,8 +222,7 @@ def approximants(
     coefficient (inf - inf inside tau, for alpha or beta beyond about
     1e154) raises ValueError naming the first such point's coefficients:
     no approximant can be formed from them."""
-    h, c1, c2 = np.asarray(h), np.asarray(c1), np.asarray(c2)
-    zero = h == 0.0
+    zero = np.asarray(h == 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         value = 1.0 + c1 / b2
         second = np.clip(h * value, 0.0, 1.0)
@@ -239,19 +230,15 @@ def approximants(
         third = np.clip(h * value, 0.0, 1.0)
     overflowed = ~zero & (np.isnan(second) | np.isnan(third))
     if overflowed.any():
-        i = overflowed.argmax()
-        raise ValueError(
-            f"expansion coefficients c1={float(c1.flat[i])!r}, "
-            f"c2={float(c2.flat[i])!r} overflowed"
-        )
+        c1, c2 = (float(np.ravel(c)[overflowed.argmax()]) for c in (c1, c2))
+        raise ValueError(f"expansion coefficients c1={c1!r}, c2={c2!r} overflowed")
     return h, np.where(zero, 0.0, second), np.where(zero, 0.0, third)
 
 
 class _Point(NamedTuple):
     """What the closed forms at (lam, x, y) share, computed once: e^{-v},
-    s(v), t(v) at v = x, y; Phi(w), Phi(2 lam - w), Phi-bar(w), phi(w) at
-    w = lam + (y-x)/(2 lam); lam^2..lam^8.  Fields but lam and powers are
-    floats at one point or arrays over a grid."""
+    s(v), t(v) at v = x, y; Phi(w), Phi(2 lam - w), Phi-bar(w) and phi(w)
+    at w = lam + (y-x)/(2 lam); lam^2..lam^8."""
 
     lam: float
     x: _Real
@@ -269,14 +256,8 @@ class _Point(NamedTuple):
     powers: tuple[float, float, float, float, float, float, float]
 
 
-def _value_terms(v: float) -> tuple[float, float, float]:
-    """(e^{-v}, s(v), t(v)): the terms of one coordinate."""
-    return _exp_neg(v), s_term(v), t_term(v)
-
-
 def _normal_terms(lam: float, half: float) -> tuple[float, float, float, float]:
-    """Phi(w), Phi(2 lam - w), Phi-bar(w) and phi(w) at w = lam + half,
-    with half = (y-x)/(2 lam)."""
+    """Phi(w), Phi(2 lam - w), Phi-bar(w), phi(w) at w = lam + half."""
     w = lam + half
     return (std_normal_cdf(w), std_normal_cdf(lam - half),
             std_normal_survival(w), std_normal_pdf(w))
@@ -290,7 +271,8 @@ def _powers(lam: float) -> tuple[float, float, float, float, float, float, float
 
 
 def _point(lam: float, x: float, y: float) -> _Point:
-    return _Point(lam, x, y, *_value_terms(x), *_value_terms(y),
+    return _Point(lam, x, y, _exp_neg(x), s_term(x), t_term(x), _exp_neg(y),
+                  s_term(y), t_term(y),
                   *_normal_terms(lam, (y - x) / (2.0 * lam)), _powers(lam))
 
 
@@ -509,8 +491,7 @@ def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, fl
 
 def _per_distinct(fn: Callable, values: np.ndarray) -> list[np.ndarray]:
     """fn's outputs at each element of a 1-d array, one array per output,
-    calling fn once per distinct value.  0.0 and -0.0 are one value: t
-    alone tells them apart, and c2's final + kappa^2/2 drops that sign."""
+    calling fn once per distinct value (0.0 = -0.0: c2 drops t's sign)."""
     keys, at = np.unique(values, return_inverse=True)
     return [np.array(column)[at] for column in zip(*map(fn, keys.tolist()))]
 
@@ -518,11 +499,9 @@ def _per_distinct(fn: Callable, values: np.ndarray) -> list[np.ndarray]:
 def hr_expansion_grid(
     params: HRParams, points: Sequence[tuple[float, float]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`hr_expansion` at every (x, y) of points, as three float arrays
-    (H, c1, c2) holding the doubles it gives point by point.
-
-    For an interior lam, the terms of a coordinate are computed once per
-    distinct grid value, the normal functions once per distinct
+    """`hr_expansion` at every (x, y) of points, as arrays H, c1, c2 of the
+    doubles it gives point by point.  e^{-v}, s(v) and t(v) are computed
+    once per distinct grid value, the normal functions once per distinct
     (y-x)/(2 lam), and each closed form once over the arrays."""
     xy = np.asarray(points, dtype=float).reshape(-1, 2)
     lam = _limit_lam(params)
@@ -531,10 +510,11 @@ def hr_expansion_grid(
         return tuple(np.array(terms).reshape(-1, 3).T)
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = xy.T
-        by_value = _per_distinct(_value_terms, xy.ravel())
+        by_value = _per_distinct(
+            lambda v: (_exp_neg(v), s_term(v), t_term(v)), xy.ravel())
         (ex, ey), (sx, sy), (tx, ty) = (c.reshape(-1, 2).T for c in by_value)
         half = (y - x) / (2.0 * lam)
-        normal = _per_distinct(partial(_normal_terms, lam), half)
+        normal = _per_distinct(lambda v: _normal_terms(lam, v), half)
         p = _Point(lam, x, y, ex, sx, tx, ey, sy, ty, *normal, _powers(lam))
         return _terms(params, p)
 

@@ -210,11 +210,6 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     return ArrayRow(n, constant, rho, lambda_n, delta_n, clipped)
 
 
-# exp(v) rounds to 0 for v below log(2^-1075) = -745.1332; the margin
-# keeps a bound's own rounding clear of that point
-_LOG_UNDERFLOW = -745.2
-
-
 def _joint_survivals(
     pairs: Sequence[tuple[float, float]], rho: float
 ) -> list[float]:
@@ -268,12 +263,12 @@ def _n_log_joint_row(
         joint = _joint_survivals(thresholds, rho)
         pieces = [marginal[u1] + marginal[u2] - p
                   for (u1, u2), p in zip(thresholds, joint)]
-    # F <= Phi(min(u1, u2)).  Where n log Phi(min(u1, u2)) lies below the
-    # exp underflow point it stands in for n log F, of which 1 - s keeps
-    # only a rounding residue there; F^n is 0 in double either way
+    # F <= Phi(min(u1, u2)).  Where n log Phi(min(u1, u2)) lies below
+    # -745.2, past exp's underflow to 0 at -745.13, it stands in for
+    # n log F, of which 1 - s keeps only a rounding residue there
     caps = {t: n * math.log(p) if (p := std_normal_cdf(t)) > 0.0 else -math.inf
             for t in {min(t) for t in thresholds}}
-    return [-math.inf if s >= 1.0 else c if (c := caps[min(t)]) < _LOG_UNDERFLOW
+    return [-math.inf if s >= 1.0 else c if (c := caps[min(t)]) < -745.2
             else n * math.log1p(-s) for s, t in zip(pieces, thresholds)]
 
 
