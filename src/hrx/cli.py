@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -435,9 +434,7 @@ def _verify_oracle(seed: int) -> list[tuple[str, bool, str]]:
 
 # -- entry point ----------------------------------------------------------
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process: parse_args keeps no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="hrx",
         description="Convergence studies for bivariate Gaussian maxima "

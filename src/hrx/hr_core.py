@@ -212,10 +212,10 @@ def _univariate_coeffs(x: float) -> tuple[float, float]:
 
 def approximants(
     h: _Real, c1: _Real, c2: _Real, b2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[_Real, _Real, _Real]:
     """First-, second- and third-order approximants H, H (1 + c1/b2) and
-    H (1 + c1/b2 + c2/b2^2), elementwise over arrays of terms; the last
-    two are clamped to [0, 1].
+    H (1 + c1/b2 + c2/b2^2), elementwise over arrays of terms (Python
+    floats for float terms); the last two are clamped to [0, 1].
 
     H = 0 gives zeros: where e^{-x} overflows, H is 0 but c1 and c2 are
     infinite or NaN, and 0 * inf would be NaN.  Elsewhere a NaN
@@ -232,7 +232,8 @@ def approximants(
     if overflowed.any():
         c1, c2 = (float(np.ravel(c)[overflowed.argmax()]) for c in (c1, c2))
         raise ValueError(f"expansion coefficients c1={c1!r}, c2={c2!r} overflowed")
-    return h, np.where(zero, 0.0, second), np.where(zero, 0.0, third)
+    out = h, np.where(zero, 0.0, second), np.where(zero, 0.0, third)
+    return out if np.ndim(h) else tuple(float(v) for v in out)
 
 
 class _Point(NamedTuple):
@@ -527,7 +528,7 @@ def hr_approx(
     if order is ApproxOrder.FIRST:
         return hr_cdf(params, x, y)
     b2 = solve_bn(n).b_squared
-    return float(approximants(*hr_expansion(params, x, y), b2)[order.value - 1])
+    return approximants(*hr_expansion(params, x, y), b2)[order.value - 1]
 
 
 def univariate_gumbel_approx(n: int, x: float, order: ApproxOrder) -> float:

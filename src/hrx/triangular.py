@@ -264,12 +264,14 @@ def _n_log_joint_row(
         pieces = [marginal[u1] + marginal[u2] - p
                   for (u1, u2), p in zip(thresholds, joint)]
     # F <= Phi(min(u1, u2)).  Where n log Phi(min(u1, u2)) lies below
-    # -745.2, past exp's underflow to 0 at -745.13, it stands in for
-    # n log F, of which 1 - s keeps only a rounding residue there
+    # -745.2, past exp's underflow to 0 at -745.13, 1 - s may keep only a
+    # rounding residue of F; both bound n log F from above there, so the
+    # smaller stands in for it
     caps = {t: n * math.log(p) if (p := std_normal_cdf(t)) > 0.0 else -math.inf
             for t in {min(t) for t in thresholds}}
-    return [-math.inf if s >= 1.0 else c if (c := caps[min(t)]) < -745.2
-            else n * math.log1p(-s) for s, t in zip(pieces, thresholds)]
+    return [-math.inf if s >= 1.0 else min(c, n * math.log1p(-s))
+            if (c := caps[min(t)]) < -745.2 else n * math.log1p(-s)
+            for s, t in zip(pieces, thresholds)]
 
 
 def exact_row_cdf(

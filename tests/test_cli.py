@@ -467,14 +467,12 @@ class TestMain:
         capsys.readouterr()
 
     def test_calls_share_no_values(self, capsys):
-        # one parser serves every call of a process; no flag of one call
-        # may reach the next
+        # no flag of one call may reach the next in the same process
         argv = ["table", "--spec", "constant", "--n", "100", "--grid", "0,0"]
         assert main(argv[:3] + ["--rho", "0.5"] + argv[3:]) == 0
         capsys.readouterr()
         assert main(argv) == 1
         assert "requires 'rho'" in capsys.readouterr().err
-        assert _build_parser() is _build_parser()
 
     def test_table_rejects_seed(self, tmp_path, capsys):
         # table never used a seed; a config file's seed key is still

@@ -505,6 +505,7 @@ class TestHrExpansionGrid:
                       HRParams.infinity()):
                 values += [*hr_expansion(p, x, y), hr_cdf(p, x, y)]
                 values += [hr_approx(1000, p, x, y, o) for o in ApproxOrder]
+                values += hrx.hr_core.approximants(*hr_expansion(p, x, y), 20.0)
             values += [kappa(2.0, 1.0, x, y), kappa1(2.0, 1.0, x, y),
                        tau(2.0, 5.0, 1.0, x, y), tau1(2.0, 5.0, 1.0, x, y),
                        tau2(2.0, 1.0, x, y), tau3(1.0, x, y),
