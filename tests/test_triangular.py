@@ -520,10 +520,10 @@ class TestOneCheckPerInput:
         # h_n there is n log F + ~e^{40}, with |n log F| < 5000: finite
         h = hrx.h_n_diagnostic(10, 0.5, 1.0, -40.0, 1.0)
         assert math.isclose(h, math.exp(40.0), rel_tol=1e-12)
-        # at n = 1e6, u_n(-9) = 2.86: F ~ 0.997 is resolved, and its
-        # n log F = -3097 lies below the bound n log Phi(u) = -2120, both
-        # below exp's underflow point; h_n keeps n log F (value before the
-        # underflow bound was introduced)
+        # at n = 1e6, u_n(-9) = 2.86: 1 - s resolves F ~ 0.997, and its
+        # n log F = -3097 lies below the bound n log Phi(u) = -2120 (both
+        # below exp's underflow point); h_n keeps n log F, where the bound
+        # would give 7502.9
         h = hrx.h_n_diagnostic(10**6, 0.5, 1.0, -9.0, -8.0)
         assert math.isclose(h, 6525.59569190832, rel_tol=1e-12)
         assert hrx.mc_triangular_maxima(10, 0.5, math.inf, math.inf, 9, 0) \
