@@ -43,6 +43,10 @@ branch for rho < -0.925 evaluates each pair in ascending order, the one
 order that keeps relative accuracy.  At rho = -1 it is the difference
 survival(h) - survival(-k), which is not.  Row evaluations in
 `triangular` rely on both facts to evaluate each threshold pair once.
+
+The tail rule's one scipy function, `scipy.special.erfcx`, is loaded on
+the first tail pass rather than by `import hrx`, so a run that never
+reaches the joint tail loads no scipy.
 """
 from __future__ import annotations
 
@@ -51,7 +55,6 @@ import sys
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcx
 
 from .quadrature import checked_quad
 
@@ -401,6 +404,11 @@ _LAG_WEIGHTS[1, 64:] = _LAG48_WEIGHTS
 # 64-node value is returned without the adaptive fallback.
 _TAIL_CERTIFICATE_RTOL = 1e-14
 
+# scipy.special.erfcx, imported on the first tail pass: loading
+# scipy.special is most of the cold `import hrx`, and a study that stays
+# out of the joint tail never needs it.
+erfcx = None
+
 
 def _two_prod(x: float, y: float) -> tuple[float, float]:
     """x*y as p + e exactly (Dekker's product on Veltkamp halves)."""
@@ -480,6 +488,9 @@ def joint_tail_survival(
     math.exp, so each value is the same double whether its pair comes
     alone or in a batch: `bivariate_normal_survival` is the one-pair call.
     """
+    global erfcx
+    if erfcx is None:
+        from scipy.special import erfcx
     a = np.array([max(h, k) for h, k in pairs])
     c = np.array([min(h, k) for h, k in pairs])
     s = math.sqrt((1.0 - rho) * (1.0 + rho))

@@ -40,6 +40,7 @@ integrals have independent quadrature oracles in the test suite.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -415,11 +416,35 @@ def _checked_point(lam: float, x: float, y: float) -> _Point:
     return _point(lam, x, y)
 
 
+def _finite(closed_form: Callable[..., float]) -> Callable[..., float]:
+    """closed_form, raising ValueError where its value is not finite.
+
+    Where e^{-x} nears the top of the double range, or alpha or beta
+    pass about 1e154, a polynomial times its weight overflows to inf, or
+    inf - inf gives NaN, and the coefficient cannot be formed.  The
+    kernels the grid pass shares keep those values: `approximants`
+    reads them there."""
+
+    @functools.wraps(closed_form)
+    def checked(*args, **kwargs):
+        value = closed_form(*args, **kwargs)
+        if not math.isfinite(value):
+            call = ", ".join([*map(repr, args),
+                              *(f"{k}={v!r}" for k, v in kwargs.items())])
+            raise ValueError(
+                f"{closed_form.__name__}({call}) overflowed to {value!r}")
+        return value
+
+    return checked
+
+
+@_finite
 def kappa(alpha: float, lam: float, x: float, y: float) -> float:
     """Second-order coefficient of the bivariate expansion."""
     return _kappa(alpha, _checked_point(lam, x, y))
 
 
+@_finite
 def kappa1(alpha: float, lam: float, x: float, y: float) -> float:
     """Second-order coefficient of the joint-tail piece alone.
 
@@ -432,27 +457,32 @@ def kappa1(alpha: float, lam: float, x: float, y: float) -> float:
             + _weighted(2.0 * alpha - 3.0 * lam2 * lam, p.ex, p.pdf_w))
 
 
+@_finite
 def tau1(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
     """Fourth-order piece from the correlation refinement (alpha, beta)."""
     return _tau1(alpha, beta, _checked_point(lam, x, y))
 
 
+@_finite
 def tau2(alpha: float, lam: float, x: float, y: float) -> float:
     """Fourth-order cross piece pairing the alpha refinement with x."""
     return _tau2(alpha, _checked_point(lam, x, y))
 
 
+@_finite
 def tau3(lam: float, x: float, y: float) -> float:
     """Fourth-order piece equal to int_y^inf Phi(lam+(x-z)/2lam) e^{-z}
     (z^4/8 - z^2/2 - 2) dz in closed form."""
     return _tau3(_checked_point(lam, x, y))
 
 
+@_finite
 def tau(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
     """Full fourth-order coefficient: t(x) + tau1 + tau2 - tau3."""
     return _tau(alpha, beta, _checked_point(lam, x, y))
 
 
+@_finite
 def I_closed(k: int, lam: float, x: float, y: float) -> float:
     """Closed form of I_k = int_y^inf phi(lam+(x-z)/2lam) e^{-z} z^k dz."""
     k = operator.index(k)

@@ -13,8 +13,9 @@ from typing import Callable
 __all__ = ["QuadratureResult", "QuadratureConvergenceError", "checked_quad"]
 
 
-# scipy.integrate.quad, imported on first use: loading scipy.integrate
-# is most of `import hrx`, and most runs never integrate adaptively.
+# scipy.integrate.quad, imported on first use: loading scipy is most of
+# a cold `import hrx` (gauss loads scipy.special lazily too), and most
+# runs never integrate adaptively.
 quad = None
 
 

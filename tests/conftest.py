@@ -6,7 +6,11 @@ aggregated over its subchecks.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -33,6 +37,22 @@ def unconverged_quad(monkeypatch):
 
     monkeypatch.setattr(hrx.quadrature, "quad", fake_quad)
     return partial
+
+
+@pytest.fixture
+def fresh_python():
+    """Runner of `python *args` in a fresh interpreter that imports hrx
+    from this source tree; returns the completed process, output as text."""
+    src = str(Path(hrx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    return run
 
 
 def _record(number: int, label: str, passed: bool, detail: str) -> None:

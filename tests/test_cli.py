@@ -4,11 +4,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +26,20 @@ from hrx.cli import (
     run_study,
     write_records,
 )
+
+# A third-order table over the study-bulk grid, and a fresh interpreter
+# that runs its n = 10 row, then its n = 1000 row, into the directory
+# argv[1], printing each exit code and whether scipy.special was loaded.
+COLD_TABLE_ARGV = ["table", "--spec", "third-order", "--lambda", "1",
+                   "--alpha", "2", "--beta", "5", "--grid", "x=-3:1:0.25"]
+COLD_TABLE_RUN = f"""
+import sys
+from hrx.cli import main
+for n in ("10", "1000"):
+    out = f"{{sys.argv[1]}}/cold{{n}}.csv"
+    code = main({COLD_TABLE_ARGV!r} + ["--n", n, "--out", out])
+    print(code, "scipy.special" in sys.modules)
+"""
 
 SMALL_CONFIG = StudyConfig(
     spec=hrx.ThirdOrderHR(1.0, 2.0, 5.0),
@@ -544,26 +554,28 @@ class TestMain:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        src = str(Path(hrx.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, hrx; print('scipy.integrate' in sys.modules)"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+    def test_import_leaves_scipy_integrate_unloaded(self, fresh_python):
+        # no scipy module at all: scipy.integrate and scipy.special both
+        # load on first use
+        proc = fresh_python("-c", "import sys, hrx; print(sorted("
+                            "m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
-    def test_module_entry_point(self):
-        src = str(Path(hrx.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hrx", "verify", "--help"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+    def test_tail_free_table_loads_no_scipy(self, fresh_python, tmp_path):
+        # the n = 10 row reaches no joint-tail pair; the n = 1000 row does
+        # and loads scipy.special, writing what a warm process writes
+        proc = fresh_python("-c", COLD_TABLE_RUN, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "0", "True"]
+        import scipy.special  # noqa: F401  (the warm side)
+        for n in ("10", "1000"):
+            warm = tmp_path / f"warm{n}.csv"
+            assert main([*COLD_TABLE_ARGV, "--n", n, "--out", str(warm)]) == 0
+            assert (tmp_path / f"cold{n}.csv").read_bytes() == warm.read_bytes()
+
+    def test_module_entry_point(self, fresh_python):
+        proc = fresh_python("-m", "hrx", "verify", "--help")
         assert proc.returncode == 0
         assert "--seed" in proc.stdout
         assert proc.stderr == ""

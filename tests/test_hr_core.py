@@ -11,7 +11,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import hrx
 from hrx import (
@@ -506,13 +506,56 @@ class TestHrExpansionGrid:
                 values += [*hr_expansion(p, x, y), hr_cdf(p, x, y)]
                 values += [hr_approx(1000, p, x, y, o) for o in ApproxOrder]
                 values += hrx.hr_core.approximants(*hr_expansion(p, x, y), 20.0)
-            values += [kappa(2.0, 1.0, x, y), kappa1(2.0, 1.0, x, y),
-                       tau(2.0, 5.0, 1.0, x, y), tau1(2.0, 5.0, 1.0, x, y),
+            if x > -709.0:
+                # kappa and tau overflow at x = -710 and raise there
+                values += [kappa(2.0, 1.0, x, y), tau(2.0, 5.0, 1.0, x, y)]
+            values += [kappa1(2.0, 1.0, x, y), tau1(2.0, 5.0, 1.0, x, y),
                        tau2(2.0, 1.0, x, y), tau3(1.0, x, y),
                        *(I_closed(k, 1.0, x, y) for k in range(4)),
                        s_term(x), t_term(x), gumbel_cdf(x),
                        univariate_gumbel_approx(1000, x, ApproxOrder.THIRD)]
         assert {type(v) for v in values} == {float}
+
+
+def closed_forms(alpha: float, beta: float, lam: float, x: float, y: float):
+    """Each public closed form at one point, as a thunk."""
+    return (
+        lambda: kappa(alpha, lam, x, y), lambda: kappa1(alpha, lam, x, y),
+        lambda: tau(alpha, beta, lam, x, y), lambda: tau1(alpha, beta, lam, x, y),
+        lambda: tau2(alpha, lam, x, y), lambda: tau3(lam, x, y),
+        *(lambda k=k: I_closed(k, lam, x, y) for k in range(4)),
+    )
+
+
+class TestClosedFormsFinite:
+    # x near the overflow of e^{-x}, where the closed forms stop fitting
+    FAR_VALUES = st.one_of(st.floats(-800.0, 800.0),
+                           st.sampled_from([-709.78, -709.0, -700.0, -690.0]))
+
+    @given(GRID_LAMS.filter(lambda lam: 0.0 < lam < math.inf),
+           st.floats(-5.0, 5.0), st.floats(-20.0, 20.0),
+           FAR_VALUES, FAR_VALUES)
+    @example(1.0, 2.0, 5.0, -709.0, -709.0)
+    @example(1.0, 2.0, 5.0, -685.79, -79.68)
+    def test_finite_or_raises(self, lam, alpha, beta, x, y):
+        for call in closed_forms(alpha, beta, lam, x, y):
+            try:
+                value = call()
+            except ValueError as exc:
+                assert "overflowed" in str(exc)
+            else:
+                assert type(value) is float and math.isfinite(value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: kappa1(2.0, 1.0, -709.0, -709.0),
+        lambda: I_closed(1, 1.0, -709.0, -709.0),
+        lambda: tau(2.0, 5.0, 1.0, -685.79, -79.68),
+        lambda: kappa(alpha=2.0, lam=1.0, x=-710.0, y=1.0),
+        lambda: tau(1e160, 0.0, 1.0, 0.0, 0.0),
+    ], ids=["kappa1", "I_1", "tau", "kappa-by-keyword", "tau-huge-alpha"])
+    def test_overflow_raises(self, call):
+        with pytest.raises(ValueError, match="overflowed"):
+            call()
 
 
 class TestHrApprox:
