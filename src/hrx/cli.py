@@ -65,6 +65,9 @@ __all__ = [
 # Scaled errors lose meaning once the limit distribution underflows.
 _H_FLOOR = 1e-300
 
+# exact, approx, err and scaled of a skipped point
+_SKIPPED_CELLS = (None, (None,) * 3, (None,) * 3, (None,) * 3)
+
 _CSV_HEADER = [
     "n", "b_n", "rho_n", "x", "y", "exact",
     "approx1", "approx2", "approx3",
@@ -127,20 +130,23 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     keep = (~(h < _H_FLOOR)).tolist()
     h, c1, c2 = h[keep], c1[keep], c2[keep]
     points = [p for p, kept in zip(config.grid, keep) if kept]
+    skipped = [i for i, kept in enumerate(keep) if not kept]
     records = []
     for row in rows:
+        n, b, rho, clipped = row.n, row.b.b, row.rho, row.clipped
         b2 = row.b.b_squared
-        exact = np.array(exact_row_cdf(row.n, row.rho, points))
+        exact = np.array(exact_row_cdf(n, rho, points))
         approx = approximants(h, c1, c2, b2)
         err = [abs(exact - a) for a in approx]
         scaled = [e * b2**k for k, e in enumerate(err, start=1)]
-        values = iter(np.column_stack([exact, *approx, *err, *scaled]).tolist())
-        for (x, y), kept in zip(config.grid, keep):
-            v = next(values) if kept else [None] * 10
-            records.append(ConvergenceRecord(
-                row.n, row.b.b, row.rho, x, y, v[0], tuple(v[1:4]),
-                tuple(v[4:7]), tuple(v[7:10]), row.clipped,
-            ))
+        # (exact, approx, err, scaled) of every grid point, in grid order
+        per_order = (zip(*(c.tolist() for c in columns))
+                     for columns in (approx, err, scaled))
+        cells = list(zip(exact.tolist(), *per_order))
+        for i in skipped:
+            cells.insert(i, _SKIPPED_CELLS)
+        records += [ConvergenceRecord(n, b, rho, x, y, e, a, er, sc, clipped)
+                    for (x, y), (e, a, er, sc) in zip(config.grid, cells)]
     return records
 
 

@@ -35,18 +35,25 @@ rather than return an unconverged value.
 Against 50-digit references it holds relative 1e-13 for h, k in [3, 37]
 and rho in [-0.98, 0.9999] wherever the value is a normal double.
 
-`joint_tail_survival` is that rule over arrays: all tail pairs of one
-rho in one numpy pass, each value bitwise equal to the one-pair call
-that `bivariate_normal_survival` makes.  The survival is also bitwise
-symmetric in (h, k) for every rho in (-1, 1), in every branch: the Genz
-branch for rho < -0.925 evaluates each pair in ascending order, the one
-order that keeps relative accuracy.  At rho = -1 it is the difference
-survival(h) - survival(-k), which is not.  Row evaluations in
-`triangular` rely on both facts to evaluate each threshold pair once.
+`bivariate_survival_row` evaluates every pair of one rho at once:
+joint-tail pairs in one `joint_tail_survival` numpy pass, pairs that a
+closed form settles (a threshold saturated at +-40, or rho in {0, 1,
+-1}) by that form, and the rest in one numpy pass of the Gauss-Legendre
+or the Genz branch, whose node terms depend on rho alone.  Both passes
+use only elementwise IEEE operations and per-pair sums in a fixed order,
+so each value is the same double whether its pair comes alone or in a
+row: `bivariate_normal_survival` is the one-pair row.  The survival is
+also bitwise symmetric in (h, k) for every rho in (-1, 1), in every
+branch: the Genz branch for rho < -0.925 evaluates each pair in
+ascending order, the one order that keeps relative accuracy.  At
+rho = -1 it is the difference survival(h) - survival(-k), which is not.
+Row evaluations in `triangular` rely on both facts to evaluate each
+threshold pair once, in one call.
 
 The tail rule's one scipy function, `scipy.special.erfcx`, is loaded on
 the first tail pass rather than by `import hrx`, so a run that never
-reaches the joint tail loads no scipy.
+reaches the joint tail loads no scipy: the Gauss-Legendre and Genz pass
+takes its normal functions from math.erfc.
 """
 from __future__ import annotations
 
@@ -67,6 +74,7 @@ __all__ = [
     "check_rho",
     "is_joint_tail",
     "joint_tail_survival",
+    "bivariate_survival_row",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -211,84 +219,100 @@ _GL_WEIGHTS = (
 )
 
 
-def _bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for standard bivariate normal, |r| < 1.
+def _cumulative_sum(columns: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right: the order of the scalar
+    rule's running sum, whatever the number of rows."""
+    return np.cumsum(columns, axis=1)[:, -1]
+
+
+def _quadrature_row(
+    pairs: Sequence[tuple[float, float]], r: float
+) -> list[float]:
+    """P(X > h, Y > k) for pairs with h, k in (-40, 40), 0 < |r| < 1.
 
     Gauss-Legendre quadrature on the correlation-parameter representation
     for |r| <= 0.925; for larger |r| the complement is expanded about the
-    perfectly-dependent case and the remainder integrated.
+    perfectly-dependent case and the remainder integrated (Genz's
+    branch).  The node terms depend on r alone and are formed once, in
+    Python floats; the pairs meet them in one (pairs x nodes) numpy pass,
+    each normal function is evaluated once per distinct argument, and the
+    node sum runs in the scalar rule's order, so no value depends on
+    which other pairs share the pass.
     """
-    if abs(r) < 0.3:
-        ng = 0
-    elif abs(r) < 0.75:
-        ng = 1
-    else:
-        ng = 2
-    nodes = _GL_NODES[ng]
-    weights = _GL_WEIGHTS[ng]
-
-    h = dh
-    k = dk
+    ng = 0 if abs(r) < 0.3 else 1 if abs(r) < 0.75 else 2
+    nodes, weights = _GL_NODES[ng], _GL_WEIGHTS[ng]
+    h, k = (np.array(v, dtype=float) for v in zip(*pairs))
     hk = h * k
-    bvn = 0.0
     if abs(r) <= 0.925:
-        hs = (h * h + k * k) / 2.0
         asr = math.asin(r)
-        for xi, wi in zip(nodes, weights):
-            sn = math.sin(asr * (xi + 1.0) / 2.0)
-            bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-            sn = math.sin(asr * (1.0 - xi) / 2.0)
-            bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        bvn = bvn * asr / (2.0 * _TWOPI)
-        bvn += std_normal_cdf(-h) * std_normal_cdf(-k)
-        return bvn
+        # the two nodes of each weight, interleaved in summation order
+        sn = np.array([math.sin(asr * t / 2.0) for xi in nodes
+                       for t in (xi + 1.0, 1.0 - xi)])
+        hs = (h * h + k * k) / 2.0
+        terms = np.repeat(weights, 2) * np.exp(
+            (sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn))
+        bvn = _cumulative_sum(terms) * asr / (2.0 * _TWOPI)
+        hl, kl = h.tolist(), k.tolist()
+        cdf = {t: std_normal_cdf(-t) for t in {*hl, *kl}}
+        bvn += [cdf[a] * cdf[b] for a, b in zip(hl, kl)]
+        return np.clip(bvn, 0.0, 1.0).tolist()
 
     if r < 0.0:
         # ascending order: with h > k the expansion cancels away every
         # digit of a small result
-        h, k = min(h, k), -max(h, k)
+        h, k = np.minimum(h, k), -np.maximum(h, k)
         hk = -hk
     a2 = (1.0 - r) * (1.0 + r)
     a = math.sqrt(a2)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
-    bvn = a * math.exp(-(bs / a2 + hk) / 2.0) * (
+    bvn = a * np.exp(-(bs / a2 + hk) / 2.0) * (
         1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0
     )
-    if hk > -160.0:
-        b = math.sqrt(bs)
-        bvn -= (
-            math.exp(-hk / 2.0)
+    # Genz's cutoff: the term is negligible below hk = -160, and there
+    # exp(-hk/2) would overflow from hk = -1420 on
+    live = np.flatnonzero(hk > -160.0)
+    if live.size:
+        b = np.sqrt(bs[live])
+        bl = b.tolist()
+        cdf_b = {v: std_normal_cdf(-v / a) for v in set(bl)}
+        bsl, cl, dl = bs[live], c[live], d[live]
+        bvn[live] -= (
+            np.exp(-hk[live] / 2.0)
             * _SQRT_2PI
-            * std_normal_cdf(-b / a)
+            * np.array([cdf_b[v] for v in bl])
             * b
-            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+            * (1.0 - cl * bsl * (1.0 - dl * bsl / 5.0) / 3.0)
         )
     a /= 2.0
-    for xi, wi in zip(nodes, weights):
-        xs = (a * (xi + 1.0)) ** 2
-        rs = math.sqrt(1.0 - xs)
-        bvn += a * wi * (
-            math.exp(-bs / (2.0 * xs) - hk / (1.0 + rs)) / rs
-            - math.exp(-(bs / xs + hk) / 2.0) * (1.0 + c * xs * (1.0 + d * xs))
-        )
-        xs = a2 * (1.0 - xi) ** 2 / 4.0
-        rs = math.sqrt(1.0 - xs)
-        bvn += (
-            a
-            * wi
-            * math.exp(-(bs / xs + hk) / 2.0)
-            * (math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-               - (1.0 + c * xs * (1.0 + d * xs)))
-        )
-    bvn = -bvn / _TWOPI
+    xs1 = np.array([(a * (xi + 1.0)) ** 2 for xi in nodes])
+    xs2 = np.array([a2 * (1.0 - xi) ** 2 / 4.0 for xi in nodes])
+    rs1 = np.sqrt(1.0 - xs1)
+    rs2 = np.sqrt(1.0 - xs2)
+    aw = a * np.array(weights)
+    bs, hk, c, d = bs[:, None], hk[:, None], c[:, None], d[:, None]
+    columns = np.empty((bvn.size, 1 + 2 * len(nodes)))
+    columns[:, 0] = bvn
+    columns[:, 1::2] = aw * (
+        np.exp(-bs / (2.0 * xs1) - hk / (1.0 + rs1)) / rs1
+        - np.exp(-(bs / xs1 + hk) / 2.0) * (1.0 + c * xs1 * (1.0 + d * xs1))
+    )
+    columns[:, 2::2] = (
+        aw
+        * np.exp(-(bs / xs2 + hk) / 2.0)
+        * (np.exp(-hk * (1.0 - rs2) / (2.0 * (1.0 + rs2))) / rs2
+           - (1.0 + c * xs2 * (1.0 + d * xs2)))
+    )
+    bvn = -_cumulative_sum(columns) / _TWOPI
     if r > 0.0:
-        return bvn + std_normal_survival(max(h, k))
-    bvn = -bvn
-    if k > h:
-        bvn += std_normal_cdf(k) - std_normal_cdf(h)
-    return max(bvn, 0.0)
+        top = np.maximum(h, k).tolist()
+        sf = {t: std_normal_survival(t) for t in set(top)}
+        return np.clip(bvn + [sf[t] for t in top], 0.0, 1.0).tolist()
+    hl, kl = h.tolist(), k.tolist()
+    cdf = {t: std_normal_cdf(t) for t in {*hl, *kl}}
+    gap = [cdf[b] - cdf[a] if b > a else 0.0 for a, b in zip(hl, kl)]
+    return np.clip(gap - bvn, 0.0, 1.0).tolist()
 
 
 def check_rho(rho: float) -> None:
@@ -559,11 +583,9 @@ def _tail_survival_adaptive(h: float, k: float, rho: float) -> float:
     return max(result.value, 0.0)
 
 
-def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
-    """P(X > h, Y > k) with cancellation control in the joint tail."""
-    check_rho(rho)
-    if is_joint_tail(h, k, rho):
-        return joint_tail_survival(((h, k),), rho)[0]
+def _closed_form(h: float, k: float, rho: float) -> float | None:
+    """P(X > h, Y > k) where a closed form settles it: a threshold
+    saturated at +-40, or rho in {0, 1, -1}.  None elsewhere."""
     if max(h, k) >= _SATURATED:
         return 0.0
     if h <= -_SATURATED:
@@ -579,5 +601,38 @@ def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
         if h >= -k:
             return 0.0
         return max(std_normal_survival(h) - std_normal_survival(-k), 0.0)
-    p = _bvn_upper(h, k, rho)
-    return min(max(p, 0.0), 1.0)
+    return None
+
+
+def bivariate_survival_row(
+    pairs: Sequence[tuple[float, float]], rho: float
+) -> list[float]:
+    """P(X > h, Y > k) for every pair (h, k) at one rho, in order.
+
+    Joint-tail pairs go to `joint_tail_survival` in one pass, pairs a
+    closed form settles take it, and the rest go through one numpy pass
+    of the Gauss-Legendre or the Genz branch.  Each value is the same
+    double whether its pair comes alone or in a row.
+    """
+    check_rho(rho)
+    out = [0.0] * len(pairs)
+    tail, rest = [], []
+    for i, (h, k) in enumerate(pairs):
+        if is_joint_tail(h, k, rho):
+            tail.append(i)
+        elif (value := _closed_form(h, k, rho)) is None:
+            rest.append(i)
+        else:
+            out[i] = value
+    for group, one_pass in ((tail, joint_tail_survival),
+                            (rest, _quadrature_row)):
+        if group:
+            values = one_pass([pairs[i] for i in group], rho)
+            for i, value in zip(group, values):
+                out[i] = value
+    return out
+
+
+def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
+    """P(X > h, Y > k): the one-pair row of `bivariate_survival_row`."""
+    return bivariate_survival_row(((h, k),), rho)[0]

@@ -194,21 +194,21 @@ def hr_cdf(params: HRParams, x: float, y: float) -> float:
     )
 
 
-def s_term(x: float) -> float:
-    """s(x) = (x^2 + 2x) e^{-x} / 2, the second-order univariate piece."""
+# s(x) and t(x) unchecked: hr_expansion and the grid pass keep their
+# infinities for `approximants`; the public s_term and t_term raise.
+def _s_term(x: float) -> float:
     return _weighted(0.5 * (x * x + 2.0 * x), _exp_neg(x))
 
 
-def t_term(x: float) -> float:
-    """t(x) = -(x^4 + 4x^3 + 8x^2 + 16x) e^{-x} / 8."""
+def _t_term(x: float) -> float:
     return _weighted(-0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x,
                      _exp_neg(x))
 
 
 def _univariate_coeffs(x: float) -> tuple[float, float]:
     """(s, t + s^2/2): the univariate expansion terms at x."""
-    s = s_term(x)
-    return s, t_term(x) + 0.5 * s * s
+    s = _s_term(x)
+    return s, _t_term(x) + 0.5 * s * s
 
 
 def approximants(
@@ -273,8 +273,8 @@ def _powers(lam: float) -> tuple[float, float, float, float, float, float, float
 
 
 def _point(lam: float, x: float, y: float) -> _Point:
-    return _Point(lam, x, y, _exp_neg(x), s_term(x), t_term(x), _exp_neg(y),
-                  s_term(y), t_term(y),
+    return _Point(lam, x, y, _exp_neg(x), _s_term(x), _t_term(x), _exp_neg(y),
+                  _s_term(y), _t_term(y),
                   *_normal_terms(lam, (y - x) / (2.0 * lam)), _powers(lam))
 
 
@@ -421,9 +421,9 @@ def _finite(closed_form: Callable[..., float]) -> Callable[..., float]:
 
     Where e^{-x} nears the top of the double range, or alpha or beta
     pass about 1e154, a polynomial times its weight overflows to inf, or
-    inf - inf gives NaN, and the coefficient cannot be formed.  The
-    kernels the grid pass shares keep those values: `approximants`
-    reads them there."""
+    inf - inf gives NaN, and the coefficient cannot be formed.  A NaN
+    argument is named as such.  The kernels the grid pass shares keep
+    those values: `approximants` reads them there."""
 
     @functools.wraps(closed_form)
     def checked(*args, **kwargs):
@@ -431,11 +431,25 @@ def _finite(closed_form: Callable[..., float]) -> Callable[..., float]:
         if not math.isfinite(value):
             call = ", ".join([*map(repr, args),
                               *(f"{k}={v!r}" for k, v in kwargs.items())])
-            raise ValueError(
-                f"{closed_form.__name__}({call}) overflowed to {value!r}")
+            name = f"{closed_form.__name__}({call})"
+            if any(math.isnan(v) for v in (*args, *kwargs.values())):
+                raise ValueError(f"{name} has a NaN argument")
+            raise ValueError(f"{name} overflowed to {value!r}")
         return value
 
     return checked
+
+
+@_finite
+def s_term(x: float) -> float:
+    """s(x) = (x^2 + 2x) e^{-x} / 2, the second-order univariate piece."""
+    return _s_term(x)
+
+
+@_finite
+def t_term(x: float) -> float:
+    """t(x) = -(x^4 + 4x^3 + 8x^2 + 16x) e^{-x} / 8."""
+    return _t_term(x)
 
 
 @_finite
@@ -514,9 +528,9 @@ def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, fl
     if lam == 0.0:
         return (hr_cdf(params, x, y), *_univariate_coeffs(min(x, y)))
     if lam == math.inf:
-        ssum = s_term(x) + s_term(y)
+        ssum = _s_term(x) + _s_term(y)
         return (hr_cdf(params, x, y), ssum,
-                t_term(x) + t_term(y) + 0.5 * ssum * ssum)
+                _t_term(x) + _t_term(y) + 0.5 * ssum * ssum)
     return _terms(params, _point(lam, x, y))
 
 
@@ -542,7 +556,7 @@ def hr_expansion_grid(
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = xy.T
         by_value = _per_distinct(
-            lambda v: (_exp_neg(v), s_term(v), t_term(v)), xy.ravel())
+            lambda v: (_exp_neg(v), _s_term(v), _t_term(v)), xy.ravel())
         (ex, ey), (sx, sy), (tx, ty) = (c.reshape(-1, 2).T for c in by_value)
         half = (y - x) / (2.0 * lam)
         normal = _per_distinct(lambda v: _normal_terms(lam, v), half)

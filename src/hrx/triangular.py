@@ -18,8 +18,8 @@ exceedance probability).
 
 F^n is evaluated a whole row at a time (`exact_row_cdf`): u_n once per
 distinct grid value, the marginal survival once per distinct threshold,
-the joint survival once per distinct threshold pair, with every
-joint-tail pair in one batched pass.  Pairs are unordered for
+the joint survival once per distinct threshold pair, all of them in one
+`gauss.bivariate_survival_row` call.  Pairs are unordered for
 -1 < rho <= 1, where the joint survival is bitwise symmetric, and
 ordered at rho = -1, where it is a difference of marginals that is not.
 The one-point functions are one-point rows, so each value is the same
@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .gauss import (
-    bivariate_normal_survival,
+    bivariate_normal_survival,  # unused here; perfbench's tracer wraps this binding
+    bivariate_survival_row,
     check_rho,
-    is_joint_tail,
-    joint_tail_survival,
     std_normal_cdf,
     std_normal_survival,
 )
@@ -142,8 +141,7 @@ class ArrayRow:
     clipped: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """Exact-vs-approximant comparison at one (n, x, y).
 
     approx, err and scaled are 3-tuples indexed by order.value - 1:
@@ -213,28 +211,17 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
 def _joint_survivals(
     pairs: Sequence[tuple[float, float]], rho: float
 ) -> list[float]:
-    """P(X > h, Y > k) for every pair, evaluated once per distinct pair.
+    """P(X > h, Y > k) for every pair, evaluated once per distinct pair
+    in one `bivariate_survival_row` call.
 
     The survival is bitwise symmetric in (h, k) for rho > -1, so (h, k)
     and (k, h) count as one pair there; at rho = -1 it is
     P(h < X < -k), a difference that is not, so pairs stay ordered.
-    Joint-tail pairs go to one batched Gauss-Laguerre pass, the rest to
-    the scalar routine.
     """
     symmetric = rho > -1.0
     keys = [(k, h) if symmetric and k < h else (h, k) for h, k in pairs]
-    joint: dict[tuple[float, float], float] = {}
-    tail = []
-    for key in keys:
-        if key in joint:
-            continue
-        if is_joint_tail(*key, rho):
-            tail.append(key)
-            joint[key] = math.nan  # filled by the batched pass below
-        else:
-            joint[key] = bivariate_normal_survival(*key, rho)
-    if tail:
-        joint.update(zip(tail, joint_tail_survival(tail, rho)))
+    distinct = list(dict.fromkeys(keys))
+    joint = dict(zip(distinct, bivariate_survival_row(distinct, rho)))
     return [joint[key] for key in keys]
 
 

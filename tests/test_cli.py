@@ -574,6 +574,26 @@ class TestMain:
             assert main([*COLD_TABLE_ARGV, "--n", n, "--out", str(warm)]) == 0
             assert (tmp_path / f"cold{n}.csv").read_bytes() == warm.read_bytes()
 
+    def test_tail_free_finite_rho_row_loads_no_scipy(self, fresh_python,
+                                                     tmp_path):
+        # the n = 18 row (rho = 0.749) sends every threshold pair through
+        # the Gauss-Legendre pass, whose normal functions use math.erfc
+        row = hrx.make_row(hrx.ThirdOrderHR(1.0, 2.0, 5.0), 18)
+        u = [hrx.threshold(row.b, -3.0 + 0.25 * i) for i in range(17)]
+        assert 0.0 < row.rho <= 0.925 and -40.0 < min(u) and max(u) < 3.0
+        cold = tmp_path / "cold.csv"
+        proc = fresh_python("-c", (
+            "import sys\n"
+            "from hrx.cli import main\n"
+            f"code = main({COLD_TABLE_ARGV!r} + ['--n', '18', '--out', sys.argv[1]])\n"
+            "print(code, 'scipy.special' in sys.modules)\n"
+        ), str(cold))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        warm = tmp_path / "warm.csv"
+        assert main([*COLD_TABLE_ARGV, "--n", "18", "--out", str(warm)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
+
     def test_module_entry_point(self, fresh_python):
         proc = fresh_python("-m", "hrx", "verify", "--help")
         assert proc.returncode == 0

@@ -7,6 +7,7 @@ for the bivariate probabilities) and appear here as plain doubles.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from hypothesis import assume, example, given, strategies as st
 
 from hrx import (
     QuadratureConvergenceError,
+    ThirdOrderHR,
     bivariate_normal_cdf,
     bivariate_normal_survival,
+    bivariate_survival_row,
     gauss,
+    make_row,
     solve_bn,
     std_normal_cdf,
     std_normal_pdf,
@@ -188,6 +192,111 @@ BVN_GENZ_REFERENCE = [
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+# The scalar Gauss-Legendre / Genz evaluation that `gauss._quadrature_row`
+# replaced, kept verbatim as the reference the array pass is held to.
+_GL_NODES, _GL_WEIGHTS = gauss._GL_NODES, gauss._GL_WEIGHTS
+_TWOPI = 2.0 * math.pi
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _bvn_upper(dh: float, dk: float, r: float) -> float:
+    """P(X > dh, Y > dk) for standard bivariate normal, |r| < 1.
+
+    Gauss-Legendre quadrature on the correlation-parameter representation
+    for |r| <= 0.925; for larger |r| the complement is expanded about the
+    perfectly-dependent case and the remainder integrated.
+    """
+    if abs(r) < 0.3:
+        ng = 0
+    elif abs(r) < 0.75:
+        ng = 1
+    else:
+        ng = 2
+    nodes = _GL_NODES[ng]
+    weights = _GL_WEIGHTS[ng]
+
+    h = dh
+    k = dk
+    hk = h * k
+    bvn = 0.0
+    if abs(r) <= 0.925:
+        hs = (h * h + k * k) / 2.0
+        asr = math.asin(r)
+        for xi, wi in zip(nodes, weights):
+            sn = math.sin(asr * (xi + 1.0) / 2.0)
+            bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+            sn = math.sin(asr * (1.0 - xi) / 2.0)
+            bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        bvn = bvn * asr / (2.0 * _TWOPI)
+        bvn += std_normal_cdf(-h) * std_normal_cdf(-k)
+        return bvn
+
+    if r < 0.0:
+        # ascending order: with h > k the expansion cancels away every
+        # digit of a small result
+        h, k = min(h, k), -max(h, k)
+        hk = -hk
+    a2 = (1.0 - r) * (1.0 + r)
+    a = math.sqrt(a2)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    bvn = a * math.exp(-(bs / a2 + hk) / 2.0) * (
+        1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0
+    )
+    if hk > -160.0:
+        b = math.sqrt(bs)
+        bvn -= (
+            math.exp(-hk / 2.0)
+            * _SQRT_2PI
+            * std_normal_cdf(-b / a)
+            * b
+            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+        )
+    a /= 2.0
+    for xi, wi in zip(nodes, weights):
+        xs = (a * (xi + 1.0)) ** 2
+        rs = math.sqrt(1.0 - xs)
+        bvn += a * wi * (
+            math.exp(-bs / (2.0 * xs) - hk / (1.0 + rs)) / rs
+            - math.exp(-(bs / xs + hk) / 2.0) * (1.0 + c * xs * (1.0 + d * xs))
+        )
+        xs = a2 * (1.0 - xi) ** 2 / 4.0
+        rs = math.sqrt(1.0 - xs)
+        bvn += (
+            a
+            * wi
+            * math.exp(-(bs / xs + hk) / 2.0)
+            * (math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+               - (1.0 + c * xs * (1.0 + d * xs)))
+        )
+    bvn = -bvn / _TWOPI
+    if r > 0.0:
+        return bvn + std_normal_survival(max(h, k))
+    bvn = -bvn
+    if k > h:
+        bvn += std_normal_cdf(k) - std_normal_cdf(h)
+    return max(bvn, 0.0)
+
+
+def scalar_reference(h, k, r):
+    """The survival as the scalar routine returned it, clamped to [0, 1]."""
+    return min(max(_bvn_upper(h, k, r), 0.0), 1.0)
+
+
+# rho of the six finite-rho rows of the study-bulk benchmark study
+# (third-order lam=1, alpha=2, beta=5 at n = 10^1.25 .. 10^2.5); its
+# n = 10 row is clipped to rho = -1, a closed form
+STUDY_BULK_ROWS = [make_row(ThirdOrderHR(1.0, 2.0, 5.0), n)
+                   for n in (18, 32, 56, 100, 178, 316)]
+STUDY_BULK_AXIS = [-3.0 + 0.25 * i for i in range(17)]
+# the branch seams: 3 -> 6 -> 10 nodes at |rho| = 0.3 and 0.75, and
+# Gauss-Legendre -> Genz past |rho| = 0.925
+RHO_SEAMS = [0.3, -0.3, 0.75, -0.75, 0.925, -0.925,
+             math.nextafter(0.925, 1.0), math.nextafter(-0.925, -1.0)]
+SEAM_VALUES = [-8.0, -3.3, -1.0, 0.0, 0.7, 2.9, 5.0, 8.0]
 
 
 class TestPdf:
@@ -540,3 +649,77 @@ class TestBivariateTail:
             want_nodes, want_weights = roots_laguerre(n)
             np.testing.assert_array_max_ulp(np.array(nodes), want_nodes, 4)
             np.testing.assert_array_max_ulp(np.array(weights), want_weights, 4)
+
+
+class TestQuadratureRow:
+    """The Gauss-Legendre and Genz branches as one numpy pass per row."""
+
+    @given(
+        st.floats(-8.0, 8.0),
+        st.floats(-8.0, 8.0),
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).filter(
+            lambda r: r != 0.0),
+    )
+    @example(1.5, -2.0, -0.95)
+    @example(-13.0 / 8.0, 1.0, 0.93)
+    def test_matches_scalar_reference(self, h, k, r):
+        got = gauss._quadrature_row([(h, k)], r)[0]
+        assert abs(got - scalar_reference(h, k, r)) <= 5e-16
+
+    @pytest.mark.parametrize("r", RHO_SEAMS)
+    def test_seams_match_scalar_reference(self, r):
+        pairs = [(h, k) for h in SEAM_VALUES for k in SEAM_VALUES]
+        got = gauss._quadrature_row(pairs, r)
+        for (h, k), value in zip(pairs, got):
+            assert abs(value - scalar_reference(h, k, r)) <= 5e-16, (h, k, r)
+
+    @pytest.mark.parametrize("row", STUDY_BULK_ROWS, ids=lambda row: str(row.n))
+    def test_study_rows_match_scalar_reference(self, row):
+        u = [threshold(row.b, x) for x in STUDY_BULK_AXIS]
+        pairs = [(h, k) for h in u for k in u
+                 if not gauss.is_joint_tail(h, k, row.rho)]
+        got = gauss._quadrature_row(pairs, row.rho)
+        for (h, k), value in zip(pairs, got):
+            assert abs(value - scalar_reference(h, k, row.rho)) <= 5e-16
+
+    @given(
+        st.lists(st.tuples(
+            st.one_of(st.floats(-45.0, 45.0),
+                      st.sampled_from([-math.inf, -40.0, 3.0, 40.0, math.inf])),
+            st.floats(-9.0, 9.0),
+        ), min_size=1, max_size=25),
+        st.floats(-1.0, 1.0),
+    )
+    def test_row_equals_one_pair_calls(self, pairs, r):
+        # a row evaluates its pairs together; no value may depend on which
+        # other pairs share the passes
+        assert bivariate_survival_row(pairs, r) == [
+            bivariate_normal_survival(h, k, r) for h, k in pairs]
+
+    def test_row_order_and_branches(self):
+        # tail, closed-form and quadrature pairs interleaved, in order
+        pairs = [(3.5, 4.0), (1.0, 45.0), (0.2, -0.4), (-41.0, 1.0), (5.0, 3.0)]
+        got = bivariate_survival_row(pairs, 0.6)
+        assert got == [bivariate_normal_survival(h, k, 0.6) for h, k in pairs]
+        assert got[1] == 0.0
+        assert got[3] == std_normal_survival(1.0)
+        assert bivariate_survival_row([], 0.6) == []
+
+    def test_rho_domain(self):
+        with pytest.raises(ValueError):
+            bivariate_survival_row([(0.0, 0.0)], 1.5)
+
+    def test_no_floating_point_warning_escapes(self):
+        # hk < -160 in the Genz branch, for rho > 0 at (-13, 13) and for
+        # rho < 0 at (-13, -13); exponentials that underflow; saturated
+        # and infinite thresholds
+        pairs = [(-13.0, 13.0), (13.0, -13.0), (-13.0, -13.0), (-39.9, 39.9),
+                 (39.9, -39.9), (-30.0, 2.5), (0.5, 0.5), (45.0, 1.0),
+                 (-45.0, 1.0), (1.0, math.inf), (-math.inf, 2.0), (4.0, 38.0)]
+        with warnings.catch_warnings(), np.errstate(
+                over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("error")
+            for r in (-0.9999999, -0.99, -0.95, -0.5, 0.1, 0.3, 0.8, 0.95,
+                      0.99996, 0.9999999):
+                got = bivariate_survival_row(pairs, r)
+                assert all(0.0 <= v <= 1.0 for v in got), r

@@ -507,12 +507,13 @@ class TestHrExpansionGrid:
                 values += [hr_approx(1000, p, x, y, o) for o in ApproxOrder]
                 values += hrx.hr_core.approximants(*hr_expansion(p, x, y), 20.0)
             if x > -709.0:
-                # kappa and tau overflow at x = -710 and raise there
-                values += [kappa(2.0, 1.0, x, y), tau(2.0, 5.0, 1.0, x, y)]
+                # kappa, tau, s and t overflow at x = -710 and raise there
+                values += [kappa(2.0, 1.0, x, y), tau(2.0, 5.0, 1.0, x, y),
+                           s_term(x), t_term(x)]
             values += [kappa1(2.0, 1.0, x, y), tau1(2.0, 5.0, 1.0, x, y),
                        tau2(2.0, 1.0, x, y), tau3(1.0, x, y),
                        *(I_closed(k, 1.0, x, y) for k in range(4)),
-                       s_term(x), t_term(x), gumbel_cdf(x),
+                       gumbel_cdf(x),
                        univariate_gumbel_approx(1000, x, ApproxOrder.THIRD)]
         assert {type(v) for v in values} == {float}
 
@@ -524,6 +525,7 @@ def closed_forms(alpha: float, beta: float, lam: float, x: float, y: float):
         lambda: tau(alpha, beta, lam, x, y), lambda: tau1(alpha, beta, lam, x, y),
         lambda: tau2(alpha, lam, x, y), lambda: tau3(lam, x, y),
         *(lambda k=k: I_closed(k, lam, x, y) for k in range(4)),
+        lambda: s_term(x), lambda: t_term(x),
     )
 
 
@@ -552,10 +554,22 @@ class TestClosedFormsFinite:
         lambda: tau(2.0, 5.0, 1.0, -685.79, -79.68),
         lambda: kappa(alpha=2.0, lam=1.0, x=-710.0, y=1.0),
         lambda: tau(1e160, 0.0, 1.0, 0.0, 0.0),
-    ], ids=["kappa1", "I_1", "tau", "kappa-by-keyword", "tau-huge-alpha"])
+        lambda: s_term(-710.0),
+        lambda: t_term(-700.0),
+    ], ids=["kappa1", "I_1", "tau", "kappa-by-keyword", "tau-huge-alpha",
+            "s", "t"])
     def test_overflow_raises(self, call):
         with pytest.raises(ValueError, match="overflowed"):
             call()
+
+    def test_nan_argument_is_named(self):
+        with pytest.raises(ValueError, match=r"kappa\(2.0, 1.0, nan, 0.0\) "
+                                             r"has a NaN argument"):
+            kappa(2.0, 1.0, math.nan, 0.0)
+        with pytest.raises(ValueError, match="NaN argument"):
+            s_term(math.nan)
+        with pytest.raises(ValueError, match="NaN argument"):
+            tau(math.nan, 5.0, 1.0, 0.0, 0.0)
 
 
 class TestHrApprox:

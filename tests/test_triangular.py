@@ -260,32 +260,39 @@ class TestExactRowCdf:
 
     @pytest.mark.parametrize("rho, joint_pairs", [(0.5, 15), (-0.5, 15)])
     def test_evaluates_each_piece_once(self, monkeypatch, rho, joint_pairs):
-        calls = {"marginal": 0, "joint": 0, "tail passes": 0}
-        tri = hrx.triangular
+        calls = {"marginal": 0, "joint": 0, "tail passes": 0,
+                 "off-tail passes": 0}
+        tri, gauss = hrx.triangular, hrx.gauss
         sf = tri.std_normal_survival
-        bvn = tri.bivariate_normal_survival
-        batch = tri.joint_tail_survival
+        row = tri.bivariate_survival_row
+        tail_pass = gauss.joint_tail_survival
+        off_tail_pass = gauss._quadrature_row
 
         def marginal(t):
             calls["marginal"] += 1
             return sf(t)
 
-        def joint(h, k, r):
-            calls["joint"] += 1
-            return bvn(h, k, r)
+        def joint(pairs, r):
+            calls["joint"] += len(pairs)
+            return row(pairs, r)
 
         def tail(pairs, r):
-            calls["joint"] += len(pairs)
             calls["tail passes"] += 1
-            return batch(pairs, r)
+            return tail_pass(pairs, r)
+
+        def off_tail(pairs, r):
+            calls["off-tail passes"] += 1
+            return off_tail_pass(pairs, r)
 
         monkeypatch.setattr(tri, "std_normal_survival", marginal)
-        monkeypatch.setattr(tri, "bivariate_normal_survival", joint)
-        monkeypatch.setattr(tri, "joint_tail_survival", tail)
+        monkeypatch.setattr(tri, "bivariate_survival_row", joint)
+        monkeypatch.setattr(gauss, "joint_tail_survival", tail)
+        monkeypatch.setattr(gauss, "_quadrature_row", off_tail)
         # u_n of the first two values lies below 3, of the rest above
         values = (-4.0, -3.0, 0.0, 2.0, 4.0)
         exact_row_cdf(10**4, rho, [(x, y) for x in values for y in values])
-        assert calls == {"marginal": 5, "joint": joint_pairs, "tail passes": 1}
+        assert calls == {"marginal": 5, "joint": joint_pairs, "tail passes": 1,
+                         "off-tail passes": 1}
 
     def test_empty_row(self):
         assert exact_row_cdf(100, 0.5, []) == []
