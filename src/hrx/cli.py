@@ -19,7 +19,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .oracle import (
 )
 from .triangular import (
     ConstantRho,
-    ConvergenceRecord,
     CorollaryInfinity,
     CorollaryZero,
     RhoSequenceSpec,
@@ -54,6 +53,7 @@ from .triangular import (
 )
 
 __all__ = [
+    "ConvergenceRecord",
     "StudyConfig",
     "RateFit",
     "run_study",
@@ -68,19 +68,9 @@ _H_FLOOR = 1e-300
 # exact, approx, err and scaled of a skipped point
 _SKIPPED_CELLS = (None, (None,) * 3, (None,) * 3, (None,) * 3)
 
-_CSV_HEADER = [
-    "n", "b_n", "rho_n", "x", "y", "exact",
-    "approx1", "approx2", "approx3",
-    "err1", "err2", "err3",
-    "scaled1", "scaled2", "scaled3",
-    "clipped",
-]
-
-_ORDER_TOKENS = {
-    "1": ApproxOrder.FIRST, "first": ApproxOrder.FIRST,
-    "2": ApproxOrder.SECOND, "second": ApproxOrder.SECOND,
-    "3": ApproxOrder.THIRD, "third": ApproxOrder.THIRD,
-}
+# "1" or "first", ... for each order
+_ORDER_TOKENS = {token: order for order in ApproxOrder
+                 for token in (str(order.value), order.name.lower())}
 
 
 @dataclass(frozen=True)
@@ -150,6 +140,40 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     return records
 
 
+class ConvergenceRecord(NamedTuple):
+    """Exact-vs-approximant comparison at one (n, x, y).
+
+    approx, err and scaled are 3-tuples indexed by order.value - 1:
+    approx_k, err_k = |exact - approx_k| and scaled_k = b^{2k} err_k.
+    A point where the limit distribution underflows is skipped: exact
+    and every per-order value are None.  The fields in order are the CSV
+    columns below, each tuple spread over its three.
+    """
+
+    n: int
+    b: float
+    rho: float
+    x: float
+    y: float
+    exact: float | None
+    approx: tuple[float | None, ...]
+    err: tuple[float | None, ...]
+    scaled: tuple[float | None, ...]
+    clipped: bool
+
+    @property
+    def skipped(self) -> bool:
+        return self.exact is None
+
+
+_CSV_HEADER = [
+    "n", "b_n", "rho_n", "x", "y", "exact",
+    "approx1", "approx2", "approx3",
+    "err1", "err2", "err3",
+    "scaled1", "scaled2", "scaled3",
+    "clipped",
+]
+
 # printf formats of the two CSV line shapes: n, b_n, rho_n, x, y, then
 # the 10 value cells at 17 significant digits (blank for a skipped
 # point), then clipped
@@ -179,6 +203,8 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[ConvergenceRecord]:
+    """The records of a study CSV; a malformed line is named by its path
+    and line number."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as stream:
             reader = csv.reader(stream)
@@ -187,16 +213,24 @@ def read_records(path: str) -> list[ConvergenceRecord]:
                 raise ValueError(f"{path!r} is not a study CSV (bad header)")
             records = []
             for cells in reader:
-                if len(cells) != len(_CSV_HEADER):
-                    raise ValueError(f"{path!r}: malformed row {cells!r}")
-                # exact, approx1..3, err1..3, scaled1..3; "" is None
-                v = [None if c == "" else float(c) for c in cells[5:15]]
-                records.append(ConvergenceRecord(
-                    int(cells[0]), float(cells[1]), float(cells[2]),
-                    float(cells[3]), float(cells[4]),
-                    v[0], tuple(v[1:4]), tuple(v[4:7]), tuple(v[7:10]),
-                    cells[15] == "true",
-                ))
+                try:
+                    if len(cells) != len(_CSV_HEADER):
+                        raise ValueError(f"{len(cells)} cells")
+                    if cells[15] not in ("true", "false"):
+                        raise ValueError(f"clipped is {cells[15]!r}")
+                    # exact, approx1..3, err1..3, scaled1..3; "" is None
+                    v = [None if c == "" else float(c) for c in cells[5:15]]
+                    records.append(ConvergenceRecord(
+                        int(cells[0]), float(cells[1]), float(cells[2]),
+                        float(cells[3]), float(cells[4]),
+                        v[0], tuple(v[1:4]), tuple(v[4:7]), tuple(v[7:10]),
+                        cells[15] == "true",
+                    ))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path!r} line {reader.line_num}: malformed row "
+                        f"{cells!r} ({exc})"
+                    ) from None
             return records
     except OSError as exc:
         raise OSError(f"cannot read study CSV {path!r}: {exc}") from exc
@@ -215,15 +249,10 @@ def fit_rate(records: Sequence[ConvergenceRecord], order: ApproxOrder) -> RateFi
         if record.skipped or e is None or not math.isfinite(e) or e <= 0.0:
             continue
         groups.setdefault((record.x, record.y), []).append(record)
-    if not groups:
-        raise ValueError("rate fit needs >= 3 records at a common point")
-    point = max(groups, key=lambda p: len(groups[p]))
-    chosen = groups[point]
+    chosen = max(groups.values(), key=len, default=[])
     if len(chosen) < 3:
-        raise ValueError(
-            f"rate fit needs >= 3 records at a common point, best point "
-            f"{point} has {len(chosen)}"
-        )
+        raise ValueError(f"rate fit needs >= 3 records at a common point, "
+                         f"the best has {len(chosen)}")
     xs = np.array([2.0 * math.log(r.b) for r in chosen])
     ys = np.array([math.log(r.err[k]) for r in chosen])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -239,60 +268,56 @@ def fit_rate(records: Sequence[ConvergenceRecord], order: ApproxOrder) -> RateFi
 
 # -- configuration parsing ------------------------------------------------
 
-def _parse_n_values(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"n range must be a:b:step (log10), got {text!r}")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError(f"n range step must be positive, got {step}")
-        values = []
-        k = lo
-        while k <= hi + 1e-9:
-            values.append(round(10.0**k))
-            k += step
-        return tuple(values)
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_axis(text: str) -> tuple[float, ...]:
+def _parse_range(text: str, what: str) -> tuple[float, ...]:
+    """The values a + i*step of an a:b:step range, for every i with
+    i*step no more than 1e-9 of a step past b - a, so that an inexact
+    step such as 0:0.3:0.1 keeps its endpoint."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"axis range must be a:b:step, got {text!r}")
+        raise ValueError(f"{what} range must be a:b:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError(f"axis step must be positive, got {step}")
-    values = []
-    i = 0
-    while lo + i * step <= hi + 1e-12:
-        values.append(lo + i * step)
-        i += 1
-    return tuple(values)
+    if not 0.0 < step < math.inf:
+        raise ValueError(
+            f"{what} range step must be finite and positive, got {text!r}")
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError(
+            f"{what} range must span a finite number of steps, got {text!r}")
+    return tuple(lo + i * step for i in range(math.floor(steps + 1e-9) + 1))
+
+
+def _parse_n_values(text: str) -> tuple[int, ...]:
+    """A comma list of n, or an a:b:step range of log10 n."""
+    text = text.strip()
+    if ":" not in text:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(round(10.0**k) for k in _parse_range(text, "log10 n"))
+    except OverflowError:
+        raise ValueError(f"log10 n range {text!r} overflows 10**k") from None
+
+
+def _parse_axis(text: str, axis: str = "x") -> tuple[float, ...]:
+    return _parse_range(text, f"grid {axis}")
+
+
+def _parse_point(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"point must be x,y, got {text.strip()!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
+    """x=a:b:step[,y=a:b:step] (y defaults to x), or x,y;x,y;... points."""
     text = text.strip()
     if text.startswith("x="):
-        if ",y=" in text:
-            x_part, y_part = text.split(",y=", 1)
-            xs = _parse_axis(x_part[2:])
-            ys = _parse_axis(y_part)
-        else:
-            xs = _parse_axis(text[2:])
-            ys = xs
+        x_range, has_y, y_range = text[2:].partition(",y=")
+        xs = _parse_axis(x_range)
+        ys = _parse_axis(y_range, "y") if has_y else xs
         return tuple((x, y) for x in xs for y in ys)
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"grid point must be x,y, got {chunk!r}")
-        points.append((float(parts[0]), float(parts[1])))
-    return tuple(points)
+    return tuple(_parse_point(chunk) for chunk in text.split(";")
+                 if chunk.strip())
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -314,116 +339,92 @@ def _load_config_file(path: str) -> dict[str, str]:
     return options
 
 
-_SPEC_ALIASES = {
-    "constant": "constant",
-    "third-order": "third-order", "third_order": "third-order",
-    "thirdorder": "third-order",
-    "corollary-infinity": "corollary-infinity",
-    "corollary_infinity": "corollary-infinity",
-    "infinity": "corollary-infinity",
-    "corollary-zero": "corollary-zero", "corollary_zero": "corollary-zero",
-    "zero": "corollary-zero",
+# spec kind -> (constructor, required keys, optional keys).  A kind is
+# read lower-cased with "_" as "-", or by one of the short names.
+_SPECS = {
+    "constant": (ConstantRho, ("rho",), ()),
+    "third-order": (ThirdOrderHR, ("lambda",), ("alpha", "beta")),
+    "corollary-infinity": (CorollaryInfinity, ("gamma",), ()),
+    "corollary-zero": (CorollaryZero, ("tau_rate",), ()),
 }
-
-
-def _require(options: dict[str, str], key: str, spec_name: str) -> str:
-    if key not in options:
-        raise ValueError(f"spec {spec_name!r} requires {key!r}")
-    return options[key]
+_SPEC_SHORT_NAMES = {"thirdorder": "third-order",
+                     "infinity": "corollary-infinity", "zero": "corollary-zero"}
 
 
 def _build_spec(options: dict[str, str]) -> RhoSequenceSpec:
-    kind_raw = _require(options, "spec", "<any>").strip().lower()
-    if kind_raw not in _SPEC_ALIASES:
-        raise ValueError(f"unknown spec kind {kind_raw!r}")
-    kind = _SPEC_ALIASES[kind_raw]
-    if kind == "constant":
-        return ConstantRho(float(_require(options, "rho", kind)))
-    if kind == "third-order":
-        return ThirdOrderHR(
-            float(_require(options, "lambda", kind)),
-            float(options.get("alpha", "0")),
-            float(options.get("beta", "0")),
-        )
-    if kind == "corollary-infinity":
-        return CorollaryInfinity(float(_require(options, "gamma", kind)))
-    return CorollaryZero(float(_require(options, "tau_rate", kind)))
+    kind = options["spec"].strip().lower().replace("_", "-")
+    kind = _SPEC_SHORT_NAMES.get(kind, kind)
+    if kind not in _SPECS:
+        raise ValueError(f"unknown spec kind {options['spec'].strip()!r}")
+    make, required, optional = _SPECS[kind]
+    for key in required:
+        if key not in options:
+            raise ValueError(f"spec {kind!r} requires {key!r}")
+    return make(*(float(options[key]) for key in required),
+                **{key: float(options[key]) for key in optional
+                   if key in options})
 
 
 def build_study_config(options: dict[str, str]) -> StudyConfig:
-    spec = _build_spec(options)
-    if "n" not in options:
-        raise ValueError("a study requires n values (key 'n' or flag --n)")
-    if "grid" not in options:
-        raise ValueError("a study requires a grid (key 'grid' or flag --grid)")
-    return StudyConfig(
-        spec, _parse_n_values(options["n"]), _parse_grid(options["grid"])
-    )
+    for key, what in (("spec", "a spec"), ("n", "n values"), ("grid", "a grid")):
+        if key not in options:
+            raise ValueError(
+                f"a study requires {what} (key {key!r} or flag --{key})")
+    return StudyConfig(_build_spec(options), _parse_n_values(options["n"]),
+                       _parse_grid(options["grid"]))
 
 
 # -- verification suite ---------------------------------------------------
 
+# (lam, x, y) of the closed-form checks
+_LAM_XY = [(lam, x, y) for lam in (0.5, 1.0, 2.0)
+           for x in (-2.0, 0.0, 2.0) for y in (-2.0, 0.0, 2.0)]
+
+
+def _rel(value: float, reference: float) -> float:
+    return abs(value - reference) / max(abs(reference), 1e-30)
+
+
+def _worst_check(name: str, bound: float, measure: str,
+                 errors: list[float]) -> tuple[str, bool, str]:
+    """The check that the worst of `errors` is at most `bound`; a NaN
+    error fails it."""
+    worst = float(np.max(errors))
+    return name, worst <= bound, f"worst {measure} {worst:.3e}"
+
+
+def _tau3_integrand(lam: float, x: float) -> Callable[[float], float]:
+    def integrand(z: float) -> float:
+        return (std_normal_cdf(lam + (x - z) / (2.0 * lam)) * math.exp(-z)
+                * (z**4 / 8.0 - z * z / 2.0 - 2.0))
+    return integrand
+
+
 def _verify_identities() -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-
-    worst_i = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        for x in (-2.0, 0.0, 2.0):
-            for y in (-2.0, 0.0, 2.0):
-                for k in range(4):
-                    closed = I_closed(k, lam, x, y)
-                    quadrature = I_k_quadrature(k, lam, x, y)
-                    rel = abs(closed - quadrature) / max(abs(quadrature), 1e-30)
-                    worst_i = max(worst_i, rel)
-    checks.append((
-        "I_k closed forms vs quadrature (rel <= 1e-9)",
-        worst_i <= 1e-9, f"worst rel {worst_i:.3e}",
-    ))
-
-    worst_t3 = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        for x in (-2.0, 0.0, 2.0):
-            for y in (-2.0, 0.0, 2.0):
-                def integrand(z: float, _lam=lam, _x=x) -> float:
-                    return (
-                        std_normal_cdf(_lam + (_x - z) / (2.0 * _lam))
-                        * math.exp(-z)
-                        * (z**4 / 8.0 - z * z / 2.0 - 2.0)
-                    )
-                reference = quad_semi_infinite(integrand, y, 1e-12).value
-                rel = abs(tau3(lam, x, y) - reference) / max(abs(reference), 1e-30)
-                worst_t3 = max(worst_t3, rel)
-    checks.append((
-        "tau3 closed form vs defining integral (rel <= 1e-9)",
-        worst_t3 <= 1e-9, f"worst rel {worst_t3:.3e}",
-    ))
-
-    worst_ms = 0.0
-    params_list = [
-        HRParams.zero(), HRParams.finite(0.5), HRParams.finite(1.0),
-        HRParams.finite(2.0), HRParams.infinity(),
+    limits = [HRParams.zero(), HRParams.finite(0.5), HRParams.finite(1.0),
+              HRParams.finite(2.0), HRParams.infinity()]
+    axis = (-1.0, 0.0, 1.0, 3.0)
+    return [
+        _worst_check(
+            "I_k closed forms vs quadrature (rel <= 1e-9)", 1e-9, "rel",
+            [_rel(I_closed(k, lam, x, y), I_k_quadrature(k, lam, x, y))
+             for lam, x, y in _LAM_XY for k in range(4)]),
+        _worst_check(
+            "tau3 closed form vs defining integral (rel <= 1e-9)", 1e-9, "rel",
+            [_rel(tau3(lam, x, y),
+                  quad_semi_infinite(_tau3_integrand(lam, x), y, 1e-12).value)
+             for lam, x, y in _LAM_XY]),
+        _worst_check(
+            "max-stability |H(x+ln m, y+ln m)^m - H| <= 1e-12", 1e-12, "abs",
+            [abs(hr_cdf(params, x + math.log(m), y + math.log(m)) ** m
+                 - hr_cdf(params, x, y))
+             for params in limits for m in (2, 10, 100)
+             for x in axis for y in axis]),
+        _worst_check(
+            "norming constants solve n*survival(b) = 1 to 1e-14", 1e-14,
+            "resid", [abs(n * std_normal_survival(solve_bn(n).b) - 1.0)
+                      for n in (10, 1000, 10**6, 10**9)]),
     ]
-    for params in params_list:
-        for m in (2, 10, 100):
-            shift = math.log(m)
-            for x in (-1.0, 0.0, 1.0, 3.0):
-                for y in (-1.0, 0.0, 1.0, 3.0):
-                    lhs = hr_cdf(params, x + shift, y + shift) ** m
-                    worst_ms = max(worst_ms, abs(lhs - hr_cdf(params, x, y)))
-    checks.append((
-        "max-stability |H(x+ln m, y+ln m)^m - H| <= 1e-12",
-        worst_ms <= 1e-12, f"worst abs {worst_ms:.3e}",
-    ))
-
-    worst_bn = 0.0
-    for n in (10, 1000, 10**6, 10**9):
-        b = solve_bn(n).b
-        worst_bn = max(worst_bn, abs(n * std_normal_survival(b) - 1.0))
-    checks.append((
-        "norming constants solve n*survival(b) = 1 to 1e-14",
-        worst_bn <= 1e-14, f"worst resid {worst_bn:.3e}",
-    ))
-    return checks
 
 
 def _verify_oracle(seed: int) -> list[tuple[str, bool, str]]:
@@ -449,6 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="run a study and emit CSV")
+    table.set_defaults(run=_cmd_table)
     table.add_argument("--config", help="key = value study file")
     table.add_argument("--spec", help="constant | third-order | "
                        "corollary-infinity | corollary-zero")
@@ -463,12 +465,14 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", help="output CSV path, - for stdout")
 
     rate = sub.add_parser("rate", help="fit log err_k vs log b^2 from a CSV")
+    rate.set_defaults(run=_cmd_rate)
     rate.add_argument("csv", help="study CSV produced by `hrx table`")
     rate.add_argument("--order", required=True,
                       help="which error column to fit: 1|2|3")
     rate.add_argument("--point", help="restrict to one grid point: x,y")
 
     verify = sub.add_parser("verify", help="run identity and oracle suites")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--seed", type=int, default=20260822,
                         help="Monte Carlo seed (default 20260822)")
     return parser
@@ -479,7 +483,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.config:
         options.update(_load_config_file(args.config))
     for key, value in vars(args).items():
-        if key not in ("command", "config") and value is not None:
+        if key not in ("command", "config", "run") and value is not None:
             options[key] = value
     records = run_study(build_study_config(options))
     out = options.get("out", "-")
@@ -500,10 +504,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     order = _ORDER_TOKENS[token]
     records = read_records(args.csv)
     if args.point:
-        parts = args.point.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"point must be x,y, got {args.point!r}")
-        px, py = float(parts[0]), float(parts[1])
+        px, py = _parse_point(args.point)
         records = [r for r in records if r.x == px and r.y == py]
     fit = fit_rate(records, order)
     print(
@@ -535,11 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "rate":
-            return _cmd_rate(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except QuadratureConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

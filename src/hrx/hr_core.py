@@ -55,6 +55,7 @@ __all__ = [
     "HRParams",
     "ApproxOrder",
     "check_lam",
+    "check_k",
     "gumbel_cdf",
     "hr_cdf",
     "s_term",
@@ -132,6 +133,14 @@ def check_lam(lam: float) -> None:
     """The one check of an interior limit parameter: finite lam > 0."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"requires finite lam > 0, got {lam}")
+
+
+def check_k(k: int) -> int:
+    """The one check of a tail-moment index: an integer k in 0..3."""
+    k = operator.index(k)
+    if k not in (0, 1, 2, 3):
+        raise ValueError(f"I_k is defined for k in 0..3, got {k}")
+    return k
 
 
 def _exp_neg(x: float) -> float:
@@ -499,9 +508,7 @@ def tau(alpha: float, beta: float, lam: float, x: float, y: float) -> float:
 @_finite
 def I_closed(k: int, lam: float, x: float, y: float) -> float:
     """Closed form of I_k = int_y^inf phi(lam+(x-z)/2lam) e^{-z} z^k dz."""
-    k = operator.index(k)
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"I_k is defined for k in 0..3, got {k}")
+    k = check_k(k)
     p = _checked_point(lam, x, y)
     ex, pb, ph = p.ex, p.sf_w, p.pdf_w
     l2, l3, l4, l5, l6, l7, _ = p.powers

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .gauss import check_rho, std_normal_pdf
-from .hr_core import check_lam
+from .hr_core import check_k, check_lam
 from .norming import check_n, solve_bn, threshold
 from .quadrature import (
     QuadratureConvergenceError,
@@ -60,9 +60,7 @@ def quad_semi_infinite(
 
 def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
     """int_y^inf phi(lam + (x-z)/(2 lam)) e^{-z} z^k dz by quadrature."""
-    k = operator.index(k)
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"I_k is defined for k in 0..3, got {k}")
+    k = check_k(k)
     check_lam(lam)
 
     def integrand(z: float) -> float:

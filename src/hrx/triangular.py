@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .gauss import (
     bivariate_normal_survival,  # unused here; perfbench's tracer wraps this binding
@@ -49,7 +49,6 @@ __all__ = [
     "CorollaryZero",
     "RhoSequenceSpec",
     "ArrayRow",
-    "ConvergenceRecord",
     "make_row",
     "exact_joint_max_cdf",
     "exact_row_cdf",
@@ -139,31 +138,6 @@ class ArrayRow:
     lambda_n: float
     delta_n: float | None
     clipped: bool
-
-
-class ConvergenceRecord(NamedTuple):
-    """Exact-vs-approximant comparison at one (n, x, y).
-
-    approx, err and scaled are 3-tuples indexed by order.value - 1:
-    approx_k, err_k = |exact - approx_k| and scaled_k = b^{2k} err_k.
-    A point where the limit distribution underflows is skipped: exact
-    and every per-order value are None.
-    """
-
-    n: int
-    b: float
-    rho: float
-    x: float
-    y: float
-    exact: float | None
-    approx: tuple[float | None, ...]
-    err: tuple[float | None, ...]
-    scaled: tuple[float | None, ...]
-    clipped: bool
-
-    @property
-    def skipped(self) -> bool:
-        return self.exact is None
 
 
 def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:

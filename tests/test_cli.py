@@ -4,7 +4,10 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +43,8 @@ for n in ("10", "1000"):
     code = main({COLD_TABLE_ARGV!r} + ["--n", n, "--out", out])
     print(code, "scipy.special" in sys.modules)
 """
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_CONFIG = StudyConfig(
     spec=hrx.ThirdOrderHR(1.0, 2.0, 5.0),
@@ -337,6 +342,42 @@ class TestParsers:
         with pytest.raises(ValueError):
             _parse_axis("0:2:-1")
 
+    @pytest.mark.parametrize("text, values", [
+        # the reference studies' n ranges and the README's
+        ("3:8:0.5", (1000, 3162, 10000, 31623, 100000, 316228, 1000000,
+                     3162278, 10000000, 31622777, 100000000)),
+        ("1:2.5:0.25", (10, 18, 32, 56, 100, 178, 316)),
+        ("3:7:1", (1000, 10000, 100000, 1000000, 10000000)),
+    ])
+    def test_pinned_n_ranges(self, text, values):
+        assert _parse_n_values(text) == values
+
+    @pytest.mark.parametrize("text, values", [
+        ("-2:4:0.5", tuple(i / 2 for i in range(-4, 9))),
+        ("-3:1:0.25", tuple(i / 4 for i in range(-12, 5))),
+        ("-1:2:1", (-1.0, 0.0, 1.0, 2.0)),
+        # 3 * 0.1 lands an ulp past 0.3 and still counts as the endpoint
+        ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.30000000000000004)),
+        ("2:1:1", ()),
+    ])
+    def test_pinned_axis_ranges(self, text, values):
+        assert _parse_axis(text) == values
+
+    @pytest.mark.parametrize("text", [
+        "nan:1:1", "0:nan:1", "0:1:nan", "-inf:1:1", "0:inf:1", "0:1:inf",
+        "-1e308:1e308:1",
+    ])
+    def test_range_needs_finite_steps(self, text):
+        quoted = re.escape(repr(text))
+        with pytest.raises(ValueError, match=f"grid x range .*{quoted}"):
+            _parse_axis(text)
+        with pytest.raises(ValueError, match=f"log10 n range .*{quoted}"):
+            _parse_n_values(text)
+
+    def test_n_range_overflowing_10_to_the_k(self):
+        with pytest.raises(ValueError, match="'400:401:1' overflows"):
+            _parse_n_values("400:401:1")
+
     def test_grid(self):
         assert _parse_grid("x=0:1:1") == (
             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
@@ -345,6 +386,8 @@ class TestParsers:
         assert _parse_grid("0,0;1.5,-2") == ((0.0, 0.0), (1.5, -2.0))
         with pytest.raises(ValueError):
             _parse_grid("1;2,3")
+        with pytest.raises(ValueError, match="grid y range"):
+            _parse_grid("x=0:1:1,y=")
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "study.cfg"
@@ -615,6 +658,40 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3:inf:1", "--grid", "0,0"],
+        ["--n", "nan:4:1", "--grid", "0,0"],
+        ["--n", "3:4:inf", "--grid", "0,0"],
+        ["--n", "400:401:1", "--grid", "0,0"],
+        ["--n", "100", "--grid", "x=0:inf:1"],
+        ["--n", "100", "--grid", "x=nan:1:1"],
+        ["--n", "100", "--grid", "x=0:1:1,y=0:1:nan"],
+    ])
+    def test_non_finite_range_exits_1(self, tmp_path, capsys, argv):
+        # an input error named by its range, never a hang or a traceback
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "constant", "--rho", "0.5", *argv,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " range " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, cell", [(6, "abc"), (0, "1e3"),
+                                              (15, "maybe\r\n")])
+    def test_rate_names_a_malformed_cell(self, tmp_path, capsys, column, cell):
+        out = tmp_path / "study.csv"
+        main(["table", "--spec", "constant", "--rho", "0.5",
+              "--n", "100,1000,10000", "--grid", "0,0", "--out", str(out)])
+        header, first, second, third = out.read_text().splitlines(True)
+        cells = second.split(",")
+        cells[column] = cell  # approx1, n, clipped
+        out.write_text(header + first + ",".join(cells) + third)
+        capsys.readouterr()
+        assert main(["rate", str(out), "--order", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {str(out)!r} line 3: malformed row")
+        assert repr(cell.strip()) in err
+
     def test_verify_unconverged_quadrature_exits_2(self, capsys,
                                                    unconverged_quad):
         assert main(["verify"]) == 2
@@ -625,6 +702,32 @@ class TestMain:
         out = capsys.readouterr().out
         assert "all" in out and "checks passed" in out
         assert "FAIL" not in out
+
+
+def readme_commands() -> tuple[list[list[str]], str]:
+    """The argv of each `hrx ...` line in the README's Command line block,
+    and the start of the `rate` output documented there."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("hrx ")]
+    (documented,) = [line[len("# -> "):].split("...", 1)[0]
+                     for line in lines if line.startswith("# -> ")]
+    return commands, documented
+
+
+class TestReadmeCommandLine:
+    def test_commands_run_in_order(self, tmp_path, monkeypatch, capsys):
+        commands, documented = readme_commands()
+        assert [argv[0] for argv in commands] == ["table", "rate", "verify"]
+        assert documented.startswith("order=2 slope=")
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for argv in commands:
+            assert main(argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1].startswith(documented)
+        assert outputs[2].endswith("checks passed\n")
 
 
 def _table(argv: list[str]) -> tuple[int, str, str]:
