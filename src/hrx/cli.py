@@ -290,7 +290,12 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     """A comma list of n, or an a:b:step range of log10 n."""
     text = text.strip()
     if ":" not in text:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        try:
+            return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise ValueError(
+                f"--n values must be integers or a log10 n range a:b:step, "
+                f"got {text!r}") from None
     try:
         return tuple(round(10.0**k) for k in _parse_range(text, "log10 n"))
     except OverflowError:

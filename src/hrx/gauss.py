@@ -27,16 +27,19 @@ evaluation of the single-integral correlation representation (graded
 absolute error is below 5e-16.  The bivariate cdf is the survival at
 (-h, -k), since (-X, -Y) has the law of (X, Y).  The survival adds a
 conditioning-integral branch for deep joint tails (3 <= min(h, k) and
-max(h, k) < 40), where absolute accuracy is not enough: a fixed 64-node
-Gauss-Laguerre rule, certified by agreeing with a 48-node rule to 1e-14
-relative (or by both values lying below the normal range), and an
-adaptive integral as the fallback that raises QuadratureConvergenceError
-rather than return an unconverged value.
-Against 50-digit references it holds relative 1e-13 for h, k in [3, 37]
-and rho in [-0.98, 0.9999] wherever the value is a normal double.
+max(h, k) < 40), where absolute accuracy is not enough.  One fixed rule
+serves the whole branch: a 64-node Gauss-Laguerre rule, certified by
+agreeing with a 48-node rule to 1e-14 relative (or by both values lying
+below the normal range).  It runs either directly, conditioned on the
+larger threshold, or, where rho -> 1 gives that integrand an edge too
+sharp for the nodes, on the two halves of the event split at
+X - Y = h - k.  A pair that neither pass certifies raises
+QuadratureConvergenceError rather than return an unconverged value.
+Against 60-digit references it holds relative 1e-13 for h, k in [3, 37]
+and rho in [-0.98, 1) wherever the value is a normal double.
 
 `bivariate_survival_row` evaluates every pair of one rho at once:
-joint-tail pairs in one `joint_tail_survival` numpy pass, pairs that a
+joint-tail pairs in `joint_tail_survival`'s numpy passes, pairs that a
 closed form settles (a threshold saturated at +-40, or rho in {0, 1,
 -1}) by that form, and the rest in one numpy pass of the Gauss-Legendre
 or the Genz branch, whose node terms depend on rho alone.  Both passes
@@ -63,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import checked_quad
+from .quadrature import QuadratureConvergenceError, QuadratureResult
 
 __all__ = [
     "std_normal_pdf",
@@ -424,9 +427,17 @@ _LAG_WEIGHTS = np.zeros((2, _LAG_NODES.size))
 _LAG_WEIGHTS[0, :64] = _LAG64_WEIGHTS
 _LAG_WEIGHTS[1, 64:] = _LAG48_WEIGHTS
 
-# The two rules must agree to this relative tolerance before the
-# 64-node value is returned without the adaptive fallback.
+# The two rules must agree to this relative tolerance, or both give a
+# value below the smallest normal double, before the 64-node value is
+# returned.
 _TAIL_CERTIFICATE_RTOL = 1e-14
+
+# For rho > 0 the survival factor of the direct pass rises to 1 across
+# an edge s*a/rho wide in the Laguerre variable.  An edge narrower than
+# the first node (0.0224) can slip between the nodes of both rules, and
+# then they agree on a wrong value.  Pairs whose edge is narrower than
+# this take the diagonal pass.
+_EDGE_WIDTH = 0.1
 
 # scipy.special.erfcx, imported on the first tail pass: loading
 # scipy.special is most of the cold `import hrx`, and a study that stays
@@ -483,15 +494,14 @@ def is_joint_tail(h: float, k: float, rho: float) -> bool:
             and rho not in (0.0, 1.0, -1.0))
 
 
-def joint_tail_survival(
-    pairs: Sequence[tuple[float, float]], rho: float
-) -> list[float]:
-    """P(X > h, Y > k) for every pair (h, k) of the joint tail at one rho.
+def _laguerre_pass(
+    a: np.ndarray, c: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 64- and 48-node values of P(X > a, Y > c) at correlation rho,
+    for a >= 3 and any real c, conditioned on the variable at a.
 
-    Conditions on the larger threshold's variable:
-    P(X > h, Y > k) = int_a^inf survival((c - rho*z)/s) phi(z) dz with
-    a = max(h, k), c = min(h, k), s = sqrt(1 - rho^2).  Substituting
-    z = a + v/lam gives
+    P(X > a, Y > c) = int_a^inf survival((c - rho*z)/s) phi(z) dz with
+    s = sqrt(1 - rho^2).  Substituting z = a + v/lam gives
 
         P = phi(a)/lam * int_0^inf e^{-v} g(v) dv,
         g(v) = exp(v (1 - a/lam) - v^2/(2 lam^2))
@@ -499,34 +509,24 @@ def joint_tail_survival(
 
     where every factor is positive, so the result carries relative
     accuracy down to underflow.  lam = a matches e^{-v} to the decay of
-    phi; for rho < 0 the survival factor decays too, at rate ~ -rho*x0/s,
-    and lam adds it so that g stays smooth.  The 64- and 48-node
-    Gauss-Laguerre values of the integral must agree to 1e-14 relative,
-    or both give a value below the smallest normal double, where no
-    relative contract applies; elsewhere (the sharp edge of g as
-    rho -> 1) the adaptive integral decides that pair.
+    phi; for rho < 0 and x0 > 0 the survival factor decays too, at rate
+    ~ -rho*x0/s, and lam adds it so that g stays smooth.
 
     All pairs go through one (pairs x 112 nodes) numpy pass.  Only
     elementwise IEEE operations and per-row sums act across pairs, and
     the two exponentials whose bits reach the result unscaled stay on
-    math.exp, so each value is the same double whether its pair comes
-    alone or in a batch: `bivariate_normal_survival` is the one-pair call.
+    math.exp, so no value depends on which other pairs share the pass.
     """
     global erfcx
     if erfcx is None:
         from scipy.special import erfcx
-    a = np.array([max(h, k) for h, k in pairs])
-    c = np.array([min(h, k) for h, k in pairs])
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     x0 = (c - rho * a) / s
-    lam = a if rho >= 0.0 else a - rho * x0 / s
+    lam = a if rho >= 0.0 else a - rho * np.maximum(x0, 0.0) / s
     scale = np.array([0.5 * _INV_SQRT_2PI * _exp_neg_half_square(v)
                       for v in a.tolist()]) / lam
-    out = [0.0] * len(pairs)
     # phi(a) underflows past a ~ 38.6: those pairs are 0
     live = np.flatnonzero(scale != 0.0)
-    if live.size == 0:
-        return out
     a, c, x0, lam = a[live], c[live], x0[live], lam[live]
     # In y = x/sqrt(2) units the survival argument is y = y0 - u with
     # u = beta*v, and 2 survival(x) = erfc(y) = erfcx(|y|) exp(-y^2) for
@@ -539,48 +539,86 @@ def joint_tail_survival(
     y0 = (_SQRT1_2_HI * x0)[:, None]
     u = ((_SQRT1_2_HI * rho / (s * lam))[:, None]) * _LAG_NODES
     y = y0 - u
-    tail = erfcx(np.abs(y)) * np.exp(u * (2.0 * y0 - u)) * exp_y0[:, None]
+    arg = u * (2.0 * y0 - u)
+    if rho < 0.0:
+        # x0 < 0 puts y <= 0 first, where only absolute accuracy counts,
+        # and exp(u (2 y0 - u)) would overflow against an exp(-y0^2) of
+        # 0: take exp(-y^2) itself
+        start = x0 < 0.0
+        arg[start] = -y[start] ** 2
+        exp_y0[start] = 1.0
+    tail = erfcx(np.abs(y)) * np.exp(arg) * exp_y0[:, None]
     g = np.exp(_LAG_NODES * (1.0 - a / lam)[:, None]
                + _LAG_NEG_HALF_SQ / (lam * lam)[:, None])
     g *= np.where(y > 0.0, tail, 2.0 - tail)
     # numpy's own sum rather than a BLAS dot: the same bytes whatever
     # BLAS is linked, and no BLAS work buffer in peak memory
-    sums = (_LAG_WEIGHTS * g[:, None, :]).sum(axis=2)
-    i64, i48 = sums[:, 0], sums[:, 1]
-    scale = scale[live]
-    # below the smallest normal double no relative contract applies, and
-    # QUADPACK returns 0 there anyway
-    certified = ((np.abs(i64 - i48) <= _TAIL_CERTIFICATE_RTOL * i64)
-                 | (scale * np.maximum(i64, i48) < sys.float_info.min))
-    values = scale * i64
-    for j, i in enumerate(live.tolist()):
-        if certified[j]:
-            out[i] = float(values[j])
-        else:
-            out[i] = _tail_survival_adaptive(*pairs[i], rho)
-    return out
+    sums = np.zeros((scale.size, 2))
+    sums[live] = (_LAG_WEIGHTS * g[:, None, :]).sum(axis=2)
+    return scale * sums[:, 0], scale * sums[:, 1]
 
 
-def _tail_survival_adaptive(h: float, k: float, rho: float) -> float:
-    """The same conditioning integral by adaptive quadrature in z.
+def _certified(v64: np.ndarray, v48: np.ndarray) -> np.ndarray:
+    """Where the two rules agree to `_TAIL_CERTIFICATE_RTOL`, or both lie
+    below the smallest normal double, where no relative contract
+    applies."""
+    return ((np.abs(v64 - v48) <= _TAIL_CERTIFICATE_RTOL * v64)
+            | (np.maximum(v64, v48) < sys.float_info.min))
 
-    The fallback of `joint_tail_survival`, and the oracle the tests hold the
-    fixed rule to.  Raises QuadratureConvergenceError when QUADPACK
-    misses relative 1e-13.
+
+def joint_tail_survival(
+    pairs: Sequence[tuple[float, float]], rho: float
+) -> list[float]:
+    """P(X > h, Y > k) for every pair (h, k) of the joint tail at one rho.
+
+    The direct pass conditions on the larger threshold:
+    P = L(max(h, k), min(h, k); rho), with L(a, c; r) the Gauss-Laguerre
+    value of `_laguerre_pass`.  As rho -> 1 its survival factor grows an
+    edge that the nodes cannot resolve.  Pairs whose edge is narrower
+    than `_EDGE_WIDTH`, and pairs whose two rules disagree, take the
+    diagonal pass instead.  It splits the event at X - Y = h - k, which
+    is exact for every rho in (-1, 1): with t = sqrt((1 - rho)/2),
+
+        P = L(h, (k - h)/(2t); -t) + L(k, (h - k)/(2t); -t),
+
+    two positive terms at a correlation in (-1, 0), whose integrands
+    have no edge.  A pair that the diagonal pass cannot certify either
+    raises QuadratureConvergenceError with the 64-node value attached,
+    rather than return an unconverged value.
+
+    Each value is the same double whether its pair comes alone or in a
+    batch, and the same for (h, k) as for (k, h): the two diagonal terms
+    swap places.  `bivariate_normal_survival` is the one-pair call.
     """
-    a = max(h, k)
-    c = min(h, k)
-    if std_normal_pdf(a) == 0.0:
-        return 0.0
+    h, k = np.array(pairs, dtype=float).reshape(-1, 2).T
+    a, c = np.maximum(h, k), np.minimum(h, k)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-
-    def integrand(t: float) -> float:
-        z = a + t
-        return std_normal_survival((c - rho * z) / s) * std_normal_pdf(z)
-
-    result = checked_quad(integrand, 0.0, math.inf, 0.0, 1e-13,
-                          f"joint tail P(X > {h!r}, Y > {k!r}) at rho={rho!r}")
-    return max(result.value, 0.0)
+    # the edge s*a/rho is narrower than _EDGE_WIDTH (never for rho <= 0)
+    diagonal = s * a < _EDGE_WIDTH * rho
+    out = np.zeros(len(pairs))
+    direct = np.flatnonzero(~diagonal)
+    if direct.size:
+        v64, v48 = _laguerre_pass(a[direct], c[direct], rho)
+        out[direct] = v64
+        diagonal[direct[~_certified(v64, v48)]] = True
+    rows = np.flatnonzero(diagonal)
+    if rows.size:
+        t = math.sqrt((1.0 - rho) / 2.0)
+        w = (k[rows] - h[rows]) / (2.0 * t)
+        # the terms conditioned on h, then those on k, summed per pair
+        v64, v48 = (terms.reshape(2, -1).sum(axis=0) for terms in
+                    _laguerre_pass(np.concatenate([h[rows], k[rows]]),
+                                   np.concatenate([w, -w]), -t))
+        failed = np.flatnonzero(~_certified(v64, v48))
+        if failed.size:
+            j = failed[0]
+            (hj, kj), spread = pairs[rows[j]], float(abs(v64[j] - v48[j]))
+            raise QuadratureConvergenceError(
+                f"joint tail P(X > {hj!r}, Y > {kj!r}) at rho={rho!r}: its "
+                f"64- and 48-node diagonal values differ by {spread:.3g}",
+                QuadratureResult(float(v64[j]), spread, 2 * _LAG_NODES.size))
+        out[rows] = v64
+    return out.tolist()
 
 
 def _closed_form(h: float, k: float, rho: float) -> float | None:

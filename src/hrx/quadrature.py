@@ -1,9 +1,11 @@
 """Adaptive quadrature that cannot fail silently.
 
 The result and error types live here, below every numerical module, so
-the joint tail in `gauss`, the proof diagnostics in `triangular` and the
-oracles in `oracle` raise one error type, which `hrx table` turns into
-exit code 2 instead of a CSV value.
+the joint tail's certificate in `gauss`, the proof diagnostics in
+`triangular` and the oracles in `oracle` raise one error type, which
+`hrx table` turns into exit code 2 instead of a CSV value.  `gauss`
+imports only those types: its joint tail is a fixed rule, and
+`checked_quad` serves `triangular` and `oracle` alone.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ __all__ = ["QuadratureResult", "QuadratureConvergenceError", "checked_quad"]
 
 
 # scipy.integrate.quad, imported on first use: loading scipy is most of
-# a cold `import hrx` (gauss loads scipy.special lazily too), and most
-# runs never integrate adaptively.
+# a cold `import hrx` (gauss loads scipy.special lazily too), and `hrx
+# table` never integrates adaptively.
 quad = None
 
 

@@ -40,6 +40,22 @@ def unconverged_quad(monkeypatch):
 
 
 @pytest.fixture
+def laguerre_passes(monkeypatch):
+    """Record each Gauss-Laguerre pass of the joint tail as (conditioning
+    thresholds, other thresholds, rho), as lists; a diagonal pass is the
+    one at rho < 0 for a pair at rho > 0."""
+    calls = []
+    one_pass = hrx.gauss._laguerre_pass
+
+    def recorded(a, c, rho):
+        calls.append((a.tolist(), c.tolist(), rho))
+        return one_pass(a, c, rho)
+
+    monkeypatch.setattr(hrx.gauss, "_laguerre_pass", recorded)
+    return calls
+
+
+@pytest.fixture
 def fresh_python():
     """Runner of `python *args` in a fresh interpreter that imports hrx
     from this source tree; returns the completed process, output as text."""

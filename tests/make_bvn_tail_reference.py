@@ -1,5 +1,5 @@
-"""Regenerate the frozen bivariate tables `BVN_TAIL_REFERENCE` and
-`BVN_GENZ_REFERENCE` in test_gauss.py.
+"""Regenerate the frozen bivariate tables `BVN_TAIL_REFERENCE`,
+`BVN_GENZ_REFERENCE` and `BVN_NEAR_ONE_REFERENCE` in test_gauss.py.
 
     python tests/make_bvn_tail_reference.py > table.txt
 
@@ -31,6 +31,22 @@ around the edge z = k/rho of the survival factor, whose width is
 s/|rho|.  The same integral with h and k exchanged conditions on the
 other variable; the two orders must agree to 1e-25 relative, which
 guards against the misreported errors of tanh-sinh noted above.
+
+`BVN_NEAR_ONE_REFERENCE` holds joint-tail pairs at 0.92 <= rho < 1,
+up to the last double below 1.  There the survival factor rises to 1
+across an edge at z = c/rho only s/rho wide, far narrower than the
+panels above.  Each value is computed two ways, which must agree to
+1e-25 relative:
+
+  * the conditional integral on a = max(h, k) in the variable v above,
+    on panels refined to the edge's width within 16 widths of it;
+  * the diagonal sum L(h, (k - h)/(2t); -t) + L(k, (h - k)/(2t); -t),
+    t = sqrt((1 - rho)/2), which splits the event at X - Y = h - k.
+    L(a, w; r) = P(X > a, Y > w) at correlation r, conditioned on X, and
+    at r = -t its survival factor has no narrow edge.
+
+Both use composite 24-point Gauss-Legendre, not tanh-sinh on coarse
+breakpoints, for the misreported errors noted above.
 """
 from __future__ import annotations
 
@@ -72,11 +88,11 @@ GENZ_POINTS = [
 _NODES = GaussLegendre(mp).calc_nodes(4, mp.prec)  # 24 points on [-1, 1]
 
 
-def _panels(width_head: mpf, width_tail: mpf):
+def _panels(width_head: mpf, width_tail: mpf, top: mpf = mpf(80)):
     edges = [mpf(0)]
     while edges[-1] < 4:
         edges.append(edges[-1] + width_head)
-    while edges[-1] < 80:
+    while edges[-1] < top:
         edges.append(edges[-1] + width_tail)
     return list(zip(edges, edges[1:]))
 
@@ -132,6 +148,86 @@ def genz_survival(h: float, k: float, rho: float) -> mpf:
     return by_x
 
 
+# (h, k, rho) with rho in [0.92, 1), up to the last double below 1, where
+# `joint_tail_survival` takes its diagonal pass.  (4.7534243088228987, ...)
+# is the corollary-zero row at n = 1e6 with tau-rate 0.01, grid point
+# (0, 0); the direct pass certifies (5.5208761402603574, ...) 1.2e-3 high.
+NEAR_ONE_POINTS = [
+    (3.0, 3.0, 0.92), (3.0, 4.5, 0.92), (12.0, 12.0, 0.92),
+    (25.0, 20.0, 0.92), (4.2, 4.2, 0.95), (3.0, 3.0, 0.975),
+    (7.5, 7.0, 0.975), (18.0, 18.0, 0.975), (33.0, 33.0, 0.975),
+    (5.0, 5.3, 0.99), (3.0, 3.0, 0.995), (10.0, 10.0, 0.995),
+    (36.0, 36.0, 0.995), (3.0, 3.0, 0.999), (3.0, 3.05, 0.999),
+    (14.5, 14.5, 0.999), (5.0, 5.0, 0.9995), (27.0, 27.0, 0.9995),
+    (4.0, 4.02, 0.9999), (9.0, 9.0, 0.9999), (37.0, 36.9, 0.9999),
+    (3.0, 3.0, 0.99999), (3.0, 3.003, 0.99999), (16.0, 16.0, 0.99999),
+    (30.0, 30.01, 0.99999), (6.5, 6.5, 0.999998), (20.0, 20.0, 0.999999),
+    (20.0, 20.001, 0.999999), (35.0, 35.0, 0.999999),
+    (4.7534243088228987, 4.7534243088228987, 0.9999999620773059),
+    (5.5208761402603574, 5.5208761402603574, 0.9999998499958104),
+    (5.52, 5.5208761402603574, 0.9999998499958104),
+    (5.0, 5.0, 0.99999999), (5.0, 5.0001, 0.99999999),
+    (12.0, 12.0, 0.99999999), (3.0, 3.0, 1.0 - 1e-10),
+    (8.0, 8.00001, 1.0 - 1e-10), (4.0, 4.0, 1.0 - 1e-12),
+    (25.0, 25.0, 1.0 - 1e-12), (3.0, 3.0, 1.0 - 1e-15),
+    (3.0, 3.0000001, 1.0 - 1e-15), (37.0, 37.0, 1.0 - 1e-15),
+    (10.0, 10.0, 1.0 - 3e-16), (3.0, 3.0, 1.0 - 2.2e-16),
+    (5.0, 5.0, 0.9999999999999999), (20.0, 20.0000001, 0.9999999999999999),
+]
+
+
+def _edge_panels(edge, width, top):
+    """`_panels` up to `top`, refined to steps of `width` within 16 widths
+    of `edge`: the survival factor rises across the edge, and panels of
+    its width resolve it at any rho."""
+    breaks = {mpf(0), top}
+    for lo, hi in _panels(mpf(1) / 10, mpf(1) / 2, top):
+        breaks.add(hi)
+    breaks.update(edge + j * width for j in range(-16, 17))
+    breaks = sorted(b for b in breaks if 0 <= b <= top)
+    return list(zip(breaks, breaks[1:]))
+
+
+def _laguerre_integral(a, c, r, lam):
+    """P(X > a, Y > c) at correlation r by conditioning on X, z = a + v/lam:
+    phi(a)/lam * int_0^inf e^{-v a/lam - v^2/(2 lam^2)}
+                         * survival(x0 - r v/(s lam)) dv,  x0 = (c - r a)/s,
+    on panels that follow the edge of the survival factor, at v = x0 s lam/r
+    and s lam/|r| wide.  For r > 0 the factor rises across the edge, and
+    the panels run to 80 past it; for r < 0 it falls, the integrand is at
+    most its value at 0 times e^{-v}, and they run to 80."""
+    s = mpmath.sqrt((1 - r) * (1 + r))
+    x0 = (c - r * a) / s
+    edge, width = x0 * s * lam / r, s * lam / abs(r)
+
+    def g(v):
+        return (mpmath.exp(-v * a / lam - v * v / (2 * lam * lam))
+                * _survival(x0 - r * v / (s * lam)))
+
+    top = 80 + (max(edge, mpf(0)) if r > 0 else 0)
+    return mpmath.npdf(a) / lam * _integral(g, _edge_panels(edge, width, top))
+
+
+def near_one_survival(h: float, k: float, rho: float) -> mpf:
+    """P(X > h, Y > k) two ways, which must agree to 1e-25 relative: the
+    conditional integral on the larger threshold, and the diagonal sum
+    L(h, (k - h)/(2t); -t) + L(k, (h - k)/(2t); -t), t = sqrt((1 - rho)/2),
+    that splits the event at X - Y = h - k."""
+    h, k, r = mpf(h), mpf(k), mpf(rho)
+    a, c = max(h, k), min(h, k)
+    direct = _laguerre_integral(a, c, r, a)
+    t = mpmath.sqrt((1 - r) / 2)
+    sp = mpmath.sqrt((1 + r) / 2)  # sqrt(1 - t^2)
+    diagonal = mpf(0)
+    for first, other in ((h, k), (k, h)):
+        w = (other - first) / (2 * t)
+        lam = first + t * max((w + t * first) / sp, mpf(0)) / sp
+        diagonal += _laguerre_integral(first, w, -t, lam)
+    if abs(direct - diagonal) > mpf("1e-25") * diagonal:
+        raise RuntimeError(f"ways disagree at {(h, k, rho)}: {direct} vs {diagonal}")
+    return diagonal
+
+
 def main() -> None:
     print("BVN_TAIL_REFERENCE = [")
     print("    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles")
@@ -146,6 +242,13 @@ def main() -> None:
     print("    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles")
     for h, k, rho in GENZ_POINTS:
         print(f"    ({h!r}, {k!r}, {rho!r}, {float(genz_survival(h, k, rho))!r}),")
+    print("]")
+    print("BVN_NEAR_ONE_REFERENCE = [")
+    print("    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles")
+    for h, k, rho in NEAR_ONE_POINTS:
+        value = float(near_one_survival(h, k, rho))
+        if value >= 1e-300:
+            print(f"    ({h!r}, {k!r}, {rho!r}, {value!r}),")
     print("]")
 
 

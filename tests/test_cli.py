@@ -174,17 +174,19 @@ class TestRunStudy:
         for record in records:
             check_record(record, spec)
 
-    def test_unconverged_fallback_raises(self, unconverged_quad):
-        # u_500(x) = 3 exactly: the pair (3, 3) at rho = 0.9999 fails the
-        # Gauss-Laguerre certificate, and the adaptive integral is forced
-        # to report non-convergence
+    def test_unconverged_fallback_raises(self, monkeypatch):
+        # every tail pair at rho = 0.9999 takes the diagonal pass, whose
+        # certificate is forced to fail: the first, at u_500(1), raises
         config = StudyConfig(
             hrx.ConstantRho(0.9999), (100, 500),
             ((1.0, 1.0), (0.3506702208933126, 0.3506702208933126)),
         )
+        u = hrx.threshold(hrx.solve_bn(500), 1.0)
+        want = hrx.bivariate_normal_survival(u, u, 0.9999)
+        monkeypatch.setattr(hrx.gauss, "_TAIL_CERTIFICATE_RTOL", -1.0)
         with pytest.raises(hrx.QuadratureConvergenceError) as info:
             run_study(config)
-        assert info.value.partial == unconverged_quad
+        assert info.value.partial.value == want
 
     def test_overflowed_coefficient_raises(self):
         # alpha^2 overflows inside tau, which becomes inf - inf at the
@@ -563,10 +565,9 @@ class TestMain:
         (record,) = read_records(str(out))
         assert record.approx == (math.exp(-1.0),) * 3
 
-    def test_unconverged_joint_tail_exits_2(
-        self, tmp_path, capsys, monkeypatch, unconverged_quad
-    ):
-        # every joint tail falls back to the adaptive integral, which fails
+    def test_unconverged_joint_tail_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # no joint-tail pair certifies, in the direct pass or the diagonal
         monkeypatch.setattr(hrx.gauss, "_TAIL_CERTIFICATE_RTOL", -1.0)
         out = tmp_path / "study.csv"
         code = main([
@@ -587,8 +588,10 @@ class TestMain:
         assert line == "100,2.3263478740408412,0.5,-710,-710" + "," * 10 + ",false"
 
     def test_unconverged_fallback_exits_2(self, tmp_path, capsys,
-                                          unconverged_quad):
-        # a natural fallback pair, (3, 3) at rho = 0.9999, not a forced one
+                                          monkeypatch):
+        # a natural diagonal pair, (3, 3) at rho = 0.9999, whose
+        # certificate is forced to fail
+        monkeypatch.setattr(hrx.gauss, "_TAIL_CERTIFICATE_RTOL", -1.0)
         out = tmp_path / "study.csv"
         code = main(["table", "--spec", "constant", "--rho", "0.9999",
                      "--n", "500", "--grid", "0.3506702208933126,0.3506702208933126",
@@ -596,6 +599,46 @@ class TestMain:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_integer_n_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "constant", "--rho", "0.5",
+                     "--n", "1e3", "--grid", "0,0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n values must be integers")
+        assert "'1e3'" in err
+        assert not out.exists()
+
+    def test_corollary_zero_row_near_rho_one(self, tmp_path, capsys):
+        # rho_n = 1 - 3.8e-8 at n = 1e6: the direct tail pass certified a
+        # wrong joint survival here, and F read 0.36787925723164444, 2e-4
+        # high; the reference is 60-digit mpmath at the row's b_n and rho_n
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "corollary-zero", "--tau-rate",
+                     "0.01", "--n", "1000000", "--grid", "0,0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        (record,) = read_records(str(out))
+        assert (record.b, record.rho) == (4.7534243088228987,
+                                          0.9999999620773059)
+        want = 0.3676793073261693
+        tolerance = 1e-12 * max(1.0, abs(math.log(want)))
+        assert abs(record.exact - want) <= tolerance * want
+
+    def test_diagonal_pass_loads_no_scipy_integrate(self, fresh_python,
+                                                    tmp_path):
+        # (3, 3) at rho = 0.9999 is a diagonal pair: no adaptive quadrature
+        out = tmp_path / "study.csv"
+        proc = fresh_python("-c", (
+            "import sys\n"
+            "from hrx.cli import main\n"
+            "code = main(['table', '--spec', 'constant', '--rho', '0.9999',"
+            " '--n', '500', '--grid',"
+            " '0.3506702208933126,0.3506702208933126', '--out', sys.argv[1]])\n"
+            "print(code, 'scipy.integrate' in sys.modules)\n"
+        ), str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_import_leaves_scipy_integrate_unloaded(self, fresh_python):
         # no scipy module at all: scipy.integrate and scipy.special both

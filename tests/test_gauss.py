@@ -27,6 +27,7 @@ from hrx import (
     std_normal_survival,
     threshold,
 )
+from hrx.quadrature import checked_quad
 
 # Frozen reference values, correctly rounded doubles.
 PDF_SAMPLES = {
@@ -189,9 +190,82 @@ BVN_GENZ_REFERENCE = [
     (-4.6, -5.6, -0.997, 0.9999978768277072),
 ]
 
+# Joint tails at 0.92 <= rho < 1, up to the last double below 1, from
+# 60-digit mpmath by make_bvn_tail_reference.py: the conditional integral
+# with panels at the edge, and the diagonal sum, which must agree to 1e-25.
+BVN_NEAR_ONE_REFERENCE = [
+    # (h, k, rho, P(X > h, Y > k)), correctly rounded doubles
+    (3.0, 3.0, 0.92, 0.0006795344734859852),
+    (3.0, 4.5, 0.92, 3.3953499780870442e-06),
+    (12.0, 12.0, 0.92, 2.427661401008684e-35),
+    (25.0, 20.0, 0.92, 3.056696706382544e-138),
+    (4.2, 4.2, 0.95, 6.401603932934505e-06),
+    (3.0, 3.0, 0.975, 0.0009610922407403336),
+    (7.5, 7.0, 0.975, 3.0742653208571364e-14),
+    (18.0, 18.0, 0.975, 4.112758030146814e-74),
+    (33.0, 33.0, 0.975, 8.214316932686574e-243),
+    (5.0, 5.3, 0.99, 5.733240001803654e-08),
+    (3.0, 3.0, 0.995, 0.0011736813814529966),
+    (10.0, 10.0, 0.995, 4.672386845290117e-24),
+    (36.0, 36.0, 0.995, 2.9816925965832397e-285),
+    (3.0, 3.0, 0.999, 0.0012708810536105266),
+    (3.0, 3.05, 0.999, 0.001132052798981378),
+    (14.5, 14.5, 0.999, 4.510085752835497e-48),
+    (5.0, 5.0, 0.9995, 2.6791436203531435e-07),
+    (27.0, 27.0, 0.9995, 4.943433562310752e-161),
+    (4.0, 4.02, 0.9999, 2.9034472606862696e-05),
+    (9.0, 9.0, 0.9999, 1.0706296371689801e-19),
+    (37.0, 36.9, 0.9999, 5.725571222522647e-300),
+    (3.0, 3.0, 0.99999, 0.0013419911167122098),
+    (3.0, 3.003, 0.99999, 0.0013337011149977332),
+    (16.0, 16.0, 0.99999, 6.205713069237243e-58),
+    (30.0, 30.01, 0.99999, 3.631097008522592e-198),
+    (6.5, 6.5, 0.999998, 3.994700750224864e-11),
+    (20.0, 20.0, 0.999999, 2.7224765386942167e-89),
+    (20.0, 20.001, 0.999999, 2.688051277600701e-89),
+    (35.0, 35.0, 0.999999, 1.1026816685116576e-268),
+    (4.753424308822899, 4.753424308822899, 0.9999999620773059, 9.994563323166096e-07),
+    (5.5208761402603574, 5.5208761402603574, 0.9999998499958104, 1.684469877849303e-08),
+    (5.52, 5.5208761402603574, 0.9999998499958104, 1.6864448583751352e-08),
+    (5.0, 5.0, 0.99999999, 2.865676927142737e-07),
+    (5.0, 5.0001, 0.99999999, 2.8647326345896324e-07),
+    (12.0, 12.0, 0.99999999, 1.775271144872986e-33),
+    (3.0, 3.0, 0.9999999999, 0.001349873027601963),
+    (8.0, 8.00001, 0.9999999999, 6.220354507236873e-16),
+    (4.0, 4.0, 0.999999999999, 3.1671166328335743e-05),
+    (25.0, 25.0, 0.999999999999, 3.056653524185898e-138),
+    (3.0, 3.0, 0.999999999999999, 0.0013498979525920238),
+    (3.0, 3.0000001, 0.999999999999999, 0.001349897587574252),
+    (37.0, 37.0, 0.999999999999999, 5.72556744168164e-300),
+    (10.0, 10.0, 0.9999999999999997, 7.619852231884022e-24),
+    (3.0, 3.0, 0.9999999999999998, 0.0013498979943711907),
+    (5.0, 5.0, 0.9999999999999999, 2.866515630410876e-07),
+    (20.0, 20.0000001, 0.9999999999999999, 2.753618597663328e-89),
+]
+
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+def tail_survival_adaptive(h: float, k: float, rho: float) -> float:
+    """The joint tail's conditioning integral by adaptive quadrature in z,
+    independent of the fixed Gauss-Laguerre rules it checks.  Raises
+    QuadratureConvergenceError when QUADPACK misses relative 1e-13.
+    (QUADPACK can report convergence and still miss the sharp edge as
+    rho -> 1: it is 2.9e-4 off at (5, 5, 0.99999999).)"""
+    a, c = max(h, k), min(h, k)
+    if std_normal_pdf(a) == 0.0:
+        return 0.0
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def integrand(t: float) -> float:
+        z = a + t
+        return std_normal_survival((c - rho * z) / s) * std_normal_pdf(z)
+
+    result = checked_quad(integrand, 0.0, math.inf, 0.0, 1e-13,
+                          f"joint tail P(X > {h!r}, Y > {k!r}) at rho={rho!r}")
+    return max(result.value, 0.0)
 
 
 # The scalar Gauss-Legendre / Genz evaluation that `gauss._quadrature_row`
@@ -545,12 +619,29 @@ class TestBivariateSurvival:
 
 
 class TestBivariateTail:
-    """The min(h, k) >= 3 branch: certified Gauss-Laguerre, adaptive fallback."""
+    """The min(h, k) >= 3 branch: the direct and the diagonal
+    Gauss-Laguerre passes, each certified by a second rule."""
 
     def test_frozen_reference(self):
         for h, k, r, want in BVN_TAIL_REFERENCE:
             got = bivariate_normal_survival(h, k, r)
             assert rel_err(got, want) <= 1e-13, (h, k, r)
+
+    def test_near_one_reference(self):
+        # the diagonal pass, up to the last double below rho = 1
+        for h, k, r, want in BVN_NEAR_ONE_REFERENCE:
+            got = bivariate_normal_survival(h, k, r)
+            assert rel_err(got, want) <= 1e-13, (h, k, r)
+
+    def test_certified_but_wrong_pair(self):
+        # the direct pass's edge, 0.003 wide, falls between the first
+        # nodes, and both rules agree on a value 1.2e-3 too high
+        h, r = 5.5208761402603574, 0.9999998499958104
+        want = 1.684469877849303e-08
+        assert rel_err(bivariate_normal_survival(h, h, r), want) <= 1e-13
+        direct = gauss._laguerre_pass(np.array([h]), np.array([h]), r)
+        assert gauss._certified(*direct)[0]
+        assert rel_err(direct[0][0], want) > 1e-3
 
     @given(
         st.floats(3.0, 37.0),
@@ -558,7 +649,7 @@ class TestBivariateTail:
         st.floats(-0.98, 0.9999),
     )
     def test_matches_adaptive_oracle(self, h, k, r):
-        want = gauss._tail_survival_adaptive(h, k, r)
+        want = tail_survival_adaptive(h, k, r)
         assume(want >= 1e-300)
         # The oracle rounds its survival argument x0 = (c - r a)/s, which
         # costs it up to ~x0^2 ulp (1.8e-13 measured near x0 = 34); the
@@ -568,62 +659,55 @@ class TestBivariateTail:
         tolerance = 1e-13 + 2.5e-16 * x0 * x0
         assert rel_err(bivariate_normal_survival(h, k, r), want) <= tolerance
 
-    def test_certificate_decides_the_fallback(self, monkeypatch):
-        calls = []
-        adaptive = gauss._tail_survival_adaptive
-
-        def recorded(h, k, r):
-            calls.append((h, k, r))
-            return adaptive(h, k, r)
-
-        monkeypatch.setattr(gauss, "_tail_survival_adaptive", recorded)
-        # a point of the reference study: the fixed rule is certified
+    def test_certificate_decides_the_fallback(self, laguerre_passes):
+        # a point of the reference study: the direct pass is certified
         bivariate_normal_survival(6.0, 6.2, 0.94)
-        assert calls == []
-        # rho -> 1 puts a sharp edge into the integrand: the rules disagree
+        assert laguerre_passes == [([6.2], [6.0], 0.94)]
+        # the edge is 0.13 wide, wide enough to see, but the two rules
+        # disagree: the diagonal pass decides
+        laguerre_passes.clear()
+        got = bivariate_normal_survival(3.0, 3.0, 0.999)
+        assert [(a, r > 0.0) for a, _, r in laguerre_passes] == [
+            ([3.0], True), ([3.0, 3.0], False)]
+        assert rel_err(got, 0.0012708810536105266) <= 1e-13
+        # an edge 0.042 wide goes to the diagonal pass without a direct one
+        laguerre_passes.clear()
         got = bivariate_normal_survival(3.0, 3.0, 0.9999)
-        assert calls == [(3.0, 3.0, 0.9999)]
+        assert [(a, r > 0.0) for a, _, r in laguerre_passes] == [
+            ([3.0, 3.0], False)]
         assert rel_err(got, 0.0013248956714195714) <= 1e-13
 
-    def test_underflowing_pairs_skip_the_fallback(self, monkeypatch):
+    def test_underflowing_pairs_skip_the_fallback(self, laguerre_passes):
         # u_1000(x) for x = 4, 8, 12 against 32, 28, 24 at rho = -0.9:
-        # the true values, 6e-355 to 4e-351, are below every double, the
-        # two rules do not agree to 1e-14, and the adaptive integral gives
-        # 0 too; no relative contract applies below the normal range
-        calls = []
-        monkeypatch.setattr(gauss, "_tail_survival_adaptive",
-                            lambda *args: calls.append(args))
+        # the true values, 6e-355 to 4e-351, are below every double and
+        # the two rules do not agree to 1e-14; no relative contract
+        # applies below the normal range, so no diagonal pass follows
         c = solve_bn(1000)
         pairs = [(threshold(c, x), threshold(c, 36.0 - x))
                  for x in (4.0, 8.0, 12.0, 24.0, 28.0, 32.0)]
         assert gauss.joint_tail_survival(pairs, -0.9) == [0.0] * 6
-        assert calls == []
+        assert [r for _, _, r in laguerre_passes] == [-0.9]
 
-    @pytest.mark.parametrize("r", [-0.9, -0.3, 0.4, 0.94])
+    @pytest.mark.parametrize("r", [-0.9, -0.3, 0.4, 0.94, 0.9995])
     def test_batch_equals_one_pair_calls(self, r):
         # the row evaluation batches a row's tail pairs; no value may
-        # depend on which other pairs share the numpy pass
+        # depend on which other pairs share the numpy passes
         pairs = [(3.0 + 0.37 * i, 3.0 + 0.53 * ((7 * i) % 23)) for i in range(40)]
         pairs.append((45.0, 4.0))  # phi(a) underflows: 0 without a pass
         got = gauss.joint_tail_survival(pairs, r)
         assert got == [bivariate_normal_survival(h, k, r) for h, k in pairs]
         assert got[-1] == 0.0
 
-    def test_batch_falls_back_per_pair(self, monkeypatch):
-        calls = []
-        adaptive = gauss._tail_survival_adaptive
-
-        def recorded(h, k, r):
-            calls.append((h, k, r))
-            return adaptive(h, k, r)
-
-        monkeypatch.setattr(gauss, "_tail_survival_adaptive", recorded)
-        pairs = [(6.0, 6.2), (3.0, 3.0), (4.0, 5.0)]
-        got = gauss.joint_tail_survival(pairs, 0.9999)
-        assert (3.0, 3.0, 0.9999) in calls
-        assert (6.0, 6.2, 0.9999) not in calls
-        calls.clear()
-        assert got == [bivariate_normal_survival(h, k, 0.9999) for h, k in pairs]
+    def test_batch_falls_back_per_pair(self, laguerre_passes):
+        # at rho = 0.9995: (3, 3.1) has an edge 0.098 wide and goes to the
+        # diagonal pass at once; (4, 4) fails the certificate and follows
+        # it; (8, 10) is certified
+        pairs = [(8.0, 10.0), (3.0, 3.1), (4.0, 4.0)]
+        got = gauss.joint_tail_survival(pairs, 0.9995)
+        (direct, _, _), (diagonal, _, r) = laguerre_passes
+        assert direct == [10.0, 4.0]
+        assert diagonal == [3.0, 4.0, 3.1, 4.0] and r < 0.0
+        assert got == [bivariate_normal_survival(h, k, 0.9995) for h, k in pairs]
 
     def test_branch_predicate(self):
         assert gauss.is_joint_tail(3.0, 7.0, 0.5)
@@ -633,10 +717,14 @@ class TestBivariateTail:
         for r in (0.0, 1.0, -1.0):
             assert not gauss.is_joint_tail(5.0, 5.0, r)
 
-    def test_unconverged_fallback_raises(self, unconverged_quad):
+    def test_unconverged_fallback_raises(self, monkeypatch):
+        # no pair certifies below a negative tolerance: the diagonal pass
+        # raises with its 64-node value, the survival it would return
+        want = bivariate_normal_survival(3.0, 3.0, 0.9999)
+        monkeypatch.setattr(gauss, "_TAIL_CERTIFICATE_RTOL", -1.0)
         with pytest.raises(QuadratureConvergenceError) as info:
             bivariate_normal_survival(3.0, 3.0, 0.9999)
-        assert info.value.partial == unconverged_quad
+        assert info.value.partial.value == want
         assert "rho=0.9999" in str(info.value)
 
     def test_laguerre_tables_match_scipy(self):

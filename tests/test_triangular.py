@@ -243,19 +243,14 @@ class TestExactRowCdf:
         assert row.clipped
         self.check_row(row.n, row.rho, SQUARE_GRID)
 
-    def test_fallback_pair(self, monkeypatch):
-        calls = []
-        adaptive = hrx.gauss._tail_survival_adaptive
-
-        def recorded(h, k, r):
-            calls.append((h, k, r))
-            return adaptive(h, k, r)
-
-        monkeypatch.setattr(hrx.gauss, "_tail_survival_adaptive", recorded)
+    def test_fallback_pair(self, laguerre_passes):
+        # (3, 3) at rho = 0.9999 takes the diagonal pass
         assert threshold(solve_bn(500), X3) == 3.0
         points = [(X3, X3), (X3, 1.0), (1.0, X3), (0.0, 0.0), (2.0, 2.5)]
         got = exact_row_cdf(500, 0.9999, points)
-        assert (3.0, 3.0, 0.9999) in calls
+        # a diagonal pass conditions on every h, then on every k
+        (a,) = [a for a, _, r in laguerre_passes if r < 0.0]
+        assert (3.0, 3.0) in zip(a[:len(a) // 2], a[len(a) // 2:])
         assert got == [one_point_exact(500, 0.9999, x, y) for x, y in points]
 
     @pytest.mark.parametrize("rho, joint_pairs", [(0.5, 15), (-0.5, 15)])
