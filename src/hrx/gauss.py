@@ -50,8 +50,9 @@ also bitwise symmetric in (h, k) for every rho in (-1, 1), in every
 branch: the Genz branch for rho < -0.925 evaluates each pair in
 ascending order, the one order that keeps relative accuracy.  At
 rho = -1 it is the difference survival(h) - survival(-k), which is not.
-Row evaluations in `triangular` rely on both facts to evaluate each
-threshold pair once, in one call.
+So the row evaluates each distinct pair once, (h, k) and (k, h) being
+one pair for rho > -1 and two at rho = -1; no caller orders or
+deduplicates pairs itself.
 
 The tail rule's one scipy function, `scipy.special.erfcx`, is loaded on
 the first tail pass rather than by `import hrx`, so a run that never
@@ -647,28 +648,29 @@ def bivariate_survival_row(
 ) -> list[float]:
     """P(X > h, Y > k) for every pair (h, k) at one rho, in order.
 
-    Joint-tail pairs go to `joint_tail_survival` in one pass, pairs a
-    closed form settles take it, and the rest go through one numpy pass
-    of the Gauss-Legendre or the Genz branch.  Each value is the same
-    double whether its pair comes alone or in a row.
+    Each distinct pair is evaluated once, (h, k) and (k, h) counting as
+    one pair for rho > -1: joint-tail pairs in one `joint_tail_survival`
+    pass, pairs a closed form settles by it, and the rest in one numpy
+    pass of the Gauss-Legendre or the Genz branch.  Each value is the
+    same double whether its pair comes alone or in a row.
     """
     check_rho(rho)
-    out = [0.0] * len(pairs)
+    symmetric = rho > -1.0
+    keys = [(k, h) if symmetric and k < h else (h, k) for h, k in pairs]
+    value: dict[tuple[float, float], float] = {}
     tail, rest = [], []
-    for i, (h, k) in enumerate(pairs):
-        if is_joint_tail(h, k, rho):
-            tail.append(i)
-        elif (value := _closed_form(h, k, rho)) is None:
-            rest.append(i)
+    for key in dict.fromkeys(keys):
+        if is_joint_tail(*key, rho):
+            tail.append(key)
+        elif (v := _closed_form(*key, rho)) is None:
+            rest.append(key)
         else:
-            out[i] = value
+            value[key] = v
     for group, one_pass in ((tail, joint_tail_survival),
                             (rest, _quadrature_row)):
         if group:
-            values = one_pass([pairs[i] for i in group], rho)
-            for i, value in zip(group, values):
-                out[i] = value
-    return out
+            value.update(zip(group, one_pass(group, rho)))
+    return [value[key] for key in keys]
 
 
 def bivariate_normal_survival(h: float, k: float, rho: float) -> float:

@@ -109,6 +109,9 @@ class HRParams:
     def __post_init__(self) -> None:
         if not self.lam >= 0.0:
             raise ValueError(f"requires lam in [0, inf], got {self.lam}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"requires finite {name}, got {value}")
         if self.lam in (0.0, math.inf) and (self.alpha != 0.0 or self.beta != 0.0):
             raise ValueError(
                 f"alpha and beta are unused at lam = {self.lam}; got "
@@ -212,12 +215,6 @@ def _s_term(x: float) -> float:
 def _t_term(x: float) -> float:
     return _weighted(-0.125 * (((x + 4.0) * x + 8.0) * x + 16.0) * x,
                      _exp_neg(x))
-
-
-def _univariate_coeffs(x: float) -> tuple[float, float]:
-    """(s, t + s^2/2): the univariate expansion terms at x."""
-    s = _s_term(x)
-    return s, _t_term(x) + 0.5 * s * s
 
 
 def approximants(
@@ -533,7 +530,10 @@ def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, fl
     closed forms share is evaluated once."""
     lam = _limit_lam(params)
     if lam == 0.0:
-        return (hr_cdf(params, x, y), *_univariate_coeffs(min(x, y)))
+        # the univariate terms s and t + s^2/2 at min(x, y)
+        v = min(x, y)
+        s = _s_term(v)
+        return hr_cdf(params, x, y), s, _t_term(v) + 0.5 * s * s
     if lam == math.inf:
         ssum = _s_term(x) + _s_term(y)
         return (hr_cdf(params, x, y), ssum,

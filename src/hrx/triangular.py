@@ -18,10 +18,7 @@ exceedance probability).
 
 F^n is evaluated a whole row at a time (`exact_row_cdf`): u_n once per
 distinct grid value, the marginal survival once per distinct threshold,
-the joint survival once per distinct threshold pair, all of them in one
-`gauss.bivariate_survival_row` call.  Pairs are unordered for
--1 < rho <= 1, where the joint survival is bitwise symmetric, and
-ordered at rho = -1, where it is a difference of marginals that is not.
+and the joint survivals in one `gauss.bivariate_survival_row` call.
 The one-point functions are one-point rows, so each value is the same
 double either way.
 """
@@ -84,7 +81,7 @@ class ThirdOrderHR:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        check_lam(self.lam)
+        self.params  # HRParams.finite checks lam, alpha and beta
 
     @property
     def params(self) -> HRParams:
@@ -97,6 +94,10 @@ class CorollaryInfinity:
     borderline scaling under which lam_n -> inf."""
 
     gamma: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"requires finite gamma, got {self.gamma}")
 
     @property
     def params(self) -> HRParams:
@@ -167,6 +168,10 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     else:
         raise TypeError(f"unknown correlation spec {spec!r}")
 
+    if math.isnan(raw):
+        # alpha/b^2 and beta/b^4 overflowed to opposite infinities
+        raise ValueError(f"{spec!r} has no correlation at n = {n}: its "
+                         f"terms overflow")
     clipped = not -1.0 <= raw <= 1.0
     rho = min(max(raw, -1.0), 1.0)
 
@@ -182,23 +187,6 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     return ArrayRow(n, constant, rho, lambda_n, delta_n, clipped)
 
 
-def _joint_survivals(
-    pairs: Sequence[tuple[float, float]], rho: float
-) -> list[float]:
-    """P(X > h, Y > k) for every pair, evaluated once per distinct pair
-    in one `bivariate_survival_row` call.
-
-    The survival is bitwise symmetric in (h, k) for rho > -1, so (h, k)
-    and (k, h) count as one pair there; at rho = -1 it is
-    P(h < X < -k), a difference that is not, so pairs stay ordered.
-    """
-    symmetric = rho > -1.0
-    keys = [(k, h) if symmetric and k < h else (h, k) for h, k in pairs]
-    distinct = list(dict.fromkeys(keys))
-    joint = dict(zip(distinct, bivariate_survival_row(distinct, rho)))
-    return [joint[key] for key in keys]
-
-
 def _n_log_joint_row(
     n: int, rho: float, points: Sequence[tuple[float, float]]
 ) -> list[float]:
@@ -207,8 +195,8 @@ def _n_log_joint_row(
     The complement s = 1 - F is assembled from survival pieces so no
     accuracy is lost against 1.  u_n is formed once per distinct grid
     value, the marginal survival once per distinct threshold and the
-    joint survival once per distinct threshold pair (unordered for
-    rho > -1), so every value equals the one-point evaluation.
+    joint survivals in one `bivariate_survival_row` call, so every value
+    equals the one-point evaluation.
     """
     constant = solve_bn(n)
     u: dict[float, float] = {}
@@ -221,7 +209,7 @@ def _n_log_joint_row(
     if rho == 1.0:
         pieces = [marginal[min(u1, u2)] for u1, u2 in thresholds]
     else:
-        joint = _joint_survivals(thresholds, rho)
+        joint = bivariate_survival_row(thresholds, rho)
         pieces = [marginal[u1] + marginal[u2] - p
                   for (u1, u2), p in zip(thresholds, joint)]
     # F <= Phi(min(u1, u2)).  Where n log Phi(min(u1, u2)) lies below

@@ -837,3 +837,18 @@ class TestRobustness:
         assert code == 1
         assert out == ""
         assert "tau_rate" in err
+
+    @pytest.mark.parametrize("spec_args, name", [
+        # NaN clipped to a NaN rho, inf overflowed the coefficients, and
+        # gamma = inf clipped the row to rho = -1 and exited 0
+        (["--spec", "third-order", "--lambda", "1", "--alpha", "nan"], "alpha"),
+        (["--spec", "third-order", "--lambda", "1", "--alpha", "inf"], "alpha"),
+        (["--spec", "third-order", "--lambda", "1", "--beta=-inf"], "beta"),
+        (["--spec", "corollary-infinity", "--gamma", "inf"], "gamma"),
+        (["--spec", "corollary-infinity", "--gamma", "nan"], "gamma"),
+    ], ids=["alpha-nan", "alpha-inf", "beta-inf", "gamma-inf", "gamma-nan"])
+    def test_non_finite_parameter_exits_1(self, spec_args, name):
+        code, out, err = _table([*spec_args, "--n", "100", "--grid", "0,0"])
+        assert code == 1
+        assert out == ""
+        assert name in err

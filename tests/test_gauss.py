@@ -793,6 +793,40 @@ class TestQuadratureRow:
         assert got[3] == std_normal_survival(1.0)
         assert bivariate_survival_row([], 0.6) == []
 
+    @pytest.mark.parametrize("rho", [0.6, -0.5, -0.95, 0.0, 1.0, -1.0])
+    def test_evaluates_each_distinct_pair_once(self, monkeypatch, rho):
+        # (h, k), (k, h) and a repeat, for a tail and an off-tail pair:
+        # one pair each for rho > -1, two (both orders) at rho = -1
+        pairs = [(3.5, 4.0), (4.0, 3.5), (3.5, 4.0),
+                 (0.5, -1.0), (-1.0, 0.5), (0.5, -1.0), (1.0, 1.0)]
+        evaluated = []
+        closed_form = gauss._closed_form
+
+        def closed(h, k, r):
+            value = closed_form(h, k, r)
+            if value is not None:
+                evaluated.append((h, k))
+            return value
+
+        def counted(one_pass):
+            def run(group, r):
+                evaluated.extend(group)
+                return one_pass(group, r)
+            return run
+
+        monkeypatch.setattr(gauss, "_closed_form", closed)
+        for name in ("joint_tail_survival", "_quadrature_row"):
+            monkeypatch.setattr(gauss, name, counted(getattr(gauss, name)))
+        got = bivariate_survival_row(pairs, rho)
+        if rho > -1.0:
+            assert sorted(tuple(sorted(p)) for p in evaluated) == [
+                (-1.0, 0.5), (1.0, 1.0), (3.5, 4.0)]
+            assert got[0] == got[1] == got[2] and got[3] == got[4] == got[5]
+        else:
+            assert sorted(evaluated) == sorted(set(pairs))
+        monkeypatch.undo()
+        assert got == [bivariate_normal_survival(h, k, rho) for h, k in pairs]
+
     def test_rho_domain(self):
         with pytest.raises(ValueError):
             bivariate_survival_row([(0.0, 0.0)], 1.5)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import hrx
 from hrx import (
@@ -47,6 +48,7 @@ A2_AT_1E6 = -1.4634286110645156
 A3_AT_1E6 = 0.91836573243934475
 
 SPEC = ThirdOrderHR(1.0, 2.0, 5.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def rel_err(got, want):
@@ -72,6 +74,16 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CorollaryZero(-0.5)
         assert CorollaryZero(0.0).tau_rate == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: ThirdOrderHR(1.0, alpha=v), "alpha"),
+        (lambda v: ThirdOrderHR(1.0, beta=v), "beta"),
+        (CorollaryInfinity, "gamma"),
+    ], ids=["alpha", "beta", "gamma"])
+    def test_non_finite_parameter_is_named(self, make, name, value):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            make(value)
 
     @pytest.mark.parametrize("spec, params", [
         (ConstantRho(0.5), HRParams.infinity()),
@@ -153,6 +165,22 @@ class TestMakeRow:
             make_row(SPEC, 2)
         with pytest.raises(TypeError):
             make_row(SPEC, 3.5)
+
+    @given(st.one_of(
+        st.builds(ConstantRho, st.floats(-1.0, 1.0)),
+        st.builds(ThirdOrderHR, st.floats(1e-3, 1e3), FINITE, FINITE),
+        st.builds(CorollaryInfinity, FINITE),
+        st.builds(CorollaryZero, st.floats(0.0, 1e150)),
+    ), st.sampled_from([3, 4, 10, 1000, 10**8]))
+    @example(ThirdOrderHR(1.0, -1e308, 1e308), 3)
+    def test_rho_is_never_nan(self, spec, n):
+        # alpha/b^2 and beta/b^4 can overflow to opposite infinities
+        try:
+            row = make_row(spec, n)
+        except ValueError as exc:
+            assert "overflow" in str(exc)
+        else:
+            assert -1.0 <= row.rho <= 1.0
 
 
 class TestExactJointMaxCdf:
@@ -255,11 +283,11 @@ class TestExactRowCdf:
 
     @pytest.mark.parametrize("rho, joint_pairs", [(0.5, 15), (-0.5, 15)])
     def test_evaluates_each_piece_once(self, monkeypatch, rho, joint_pairs):
+        # joint pairs are counted where they reach the two passes
         calls = {"marginal": 0, "joint": 0, "tail passes": 0,
                  "off-tail passes": 0}
         tri, gauss = hrx.triangular, hrx.gauss
         sf = tri.std_normal_survival
-        row = tri.bivariate_survival_row
         tail_pass = gauss.joint_tail_survival
         off_tail_pass = gauss._quadrature_row
 
@@ -267,20 +295,17 @@ class TestExactRowCdf:
             calls["marginal"] += 1
             return sf(t)
 
-        def joint(pairs, r):
-            calls["joint"] += len(pairs)
-            return row(pairs, r)
-
         def tail(pairs, r):
             calls["tail passes"] += 1
+            calls["joint"] += len(pairs)
             return tail_pass(pairs, r)
 
         def off_tail(pairs, r):
             calls["off-tail passes"] += 1
+            calls["joint"] += len(pairs)
             return off_tail_pass(pairs, r)
 
         monkeypatch.setattr(tri, "std_normal_survival", marginal)
-        monkeypatch.setattr(tri, "bivariate_survival_row", joint)
         monkeypatch.setattr(gauss, "joint_tail_survival", tail)
         monkeypatch.setattr(gauss, "_quadrature_row", off_tail)
         # u_n of the first two values lies below 3, of the rest above
