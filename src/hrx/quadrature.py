@@ -15,9 +15,9 @@ from typing import Callable
 __all__ = ["QuadratureResult", "QuadratureConvergenceError", "checked_quad"]
 
 
-# scipy.integrate.quad, imported on first use: loading scipy is most of
-# a cold `import hrx` (gauss loads scipy.special lazily too), and `hrx
-# table` never integrates adaptively.
+# scipy.integrate.quad, imported on first use: loading scipy would be
+# most of a cold `import hrx`, and `hrx table` never integrates
+# adaptively, so a table run loads no scipy at all.
 quad = None
 
 

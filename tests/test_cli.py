@@ -32,16 +32,29 @@ from hrx.cli import (
 
 # A third-order table over the study-bulk grid, and a fresh interpreter
 # that runs its n = 10 row, then its n = 1000 row, into the directory
-# argv[1], printing each exit code and whether scipy.special was loaded.
-COLD_TABLE_ARGV = ["table", "--spec", "third-order", "--lambda", "1",
-                   "--alpha", "2", "--beta", "5", "--grid", "x=-3:1:0.25"]
+# argv[1], printing each exit code and whether any scipy module was
+# loaded.
+THIRD_ORDER_TABLE = ["table", "--spec", "third-order", "--lambda", "1",
+                     "--alpha", "2", "--beta", "5"]
+COLD_TABLE_ARGV = [*THIRD_ORDER_TABLE, "--grid", "x=-3:1:0.25"]
 COLD_TABLE_RUN = f"""
 import sys
 from hrx.cli import main
 for n in ("10", "1000"):
     out = f"{{sys.argv[1]}}/cold{{n}}.csv"
     code = main({COLD_TABLE_ARGV!r} + ["--n", n, "--out", out])
-    print(code, "scipy.special" in sys.modules)
+    print(code, any(m.startswith("scipy") for m in sys.modules))
+"""
+# The two reference studies, study-tail then study-bulk, the same way.
+REFERENCE_STUDIES = {"tail": ["--n", "3:8:0.5", "--grid", "x=-2:4:0.5"],
+                     "bulk": ["--n", "1:2.5:0.25", "--grid", "x=-3:1:0.25"]}
+COLD_STUDIES_RUN = f"""
+import sys
+from hrx.cli import main
+for name, args in {REFERENCE_STUDIES!r}.items():
+    out = f"{{sys.argv[1]}}/cold-{{name}}.csv"
+    code = main({THIRD_ORDER_TABLE!r} + args + ["--out", out])
+    print(code, any(m.startswith("scipy") for m in sys.modules))
 """
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -243,8 +256,9 @@ class TestCsvRoundTrip:
 
     def test_frozen_bytes(self, tmp_path, capsys):
         # output as it was before the expansion terms were shared across
-        # rows; a reassociation of the coefficient arithmetic moves a
-        # last digit somewhere in the 288-record study
+        # rows; a reassociation of the coefficient arithmetic, or a new
+        # erfcx in the joint tail, moves a last digit somewhere in the
+        # 288-record study
         def table(n, grid):
             path = tmp_path / "study.csv"
             assert main([
@@ -258,7 +272,7 @@ class TestCsvRoundTrip:
         small = table("10,100000", "1,1;-1,0.5;2.5,4;-700,-700")
         assert small.decode() == FROZEN_STUDY_CSV
         assert hashlib.sha256(table("1:8:1", "x=-2:3:1")).hexdigest() == (
-            "836d5d07ef86829fbcfb7ff94a70d20c39eae1f7a8091894c73a10230f04d6e2"
+            "c83544d371b3bc1a799c2f21c3de84a3e12e68a1c73dec8d7e4c0203dcfdecfb"
         )
 
     def test_header_guard(self, tmp_path):
@@ -635,26 +649,26 @@ class TestMain:
             "code = main(['table', '--spec', 'constant', '--rho', '0.9999',"
             " '--n', '500', '--grid',"
             " '0.3506702208933126,0.3506702208933126', '--out', sys.argv[1]])\n"
-            "print(code, 'scipy.integrate' in sys.modules)\n"
+            "print(code, any(m.startswith('scipy') for m in sys.modules))\n"
         ), str(out))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
 
     def test_import_leaves_scipy_integrate_unloaded(self, fresh_python):
-        # no scipy module at all: scipy.integrate and scipy.special both
-        # load on first use
+        # no scipy module at all: only `hrx verify` and the proof
+        # diagnostics load scipy.integrate, on first use
         proc = fresh_python("-c", "import sys, hrx; print(sorted("
                             "m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_tail_free_table_loads_no_scipy(self, fresh_python, tmp_path):
-        # the n = 10 row reaches no joint-tail pair; the n = 1000 row does
-        # and loads scipy.special, writing what a warm process writes
+        # the n = 10 row reaches no joint-tail pair; the n = 1000 row does,
+        # and its tail pass runs on numpy alone too, writing what a warm
+        # process writes
         proc = fresh_python("-c", COLD_TABLE_RUN, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "0", "True"]
-        import scipy.special  # noqa: F401  (the warm side)
+        assert proc.stdout.split() == ["0", "False", "0", "False"]
         for n in ("10", "1000"):
             warm = tmp_path / f"warm{n}.csv"
             assert main([*COLD_TABLE_ARGV, "--n", n, "--out", str(warm)]) == 0
@@ -672,13 +686,25 @@ class TestMain:
             "import sys\n"
             "from hrx.cli import main\n"
             f"code = main({COLD_TABLE_ARGV!r} + ['--n', '18', '--out', sys.argv[1]])\n"
-            "print(code, 'scipy.special' in sys.modules)\n"
+            "print(code, any(m.startswith('scipy') for m in sys.modules))\n"
         ), str(cold))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
         warm = tmp_path / "warm.csv"
         assert main([*COLD_TABLE_ARGV, "--n", "18", "--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
+
+    def test_reference_studies_load_no_scipy(self, fresh_python, tmp_path):
+        # both reference studies in full, 1,859 records of which 1,723
+        # reach the joint tail, and 2,023 records
+        proc = fresh_python("-c", COLD_STUDIES_RUN, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "0", "False"]
+        for name, args in REFERENCE_STUDIES.items():
+            warm = tmp_path / f"warm-{name}.csv"
+            assert main([*THIRD_ORDER_TABLE, *args, "--out", str(warm)]) == 0
+            cold = tmp_path / f"cold-{name}.csv"
+            assert cold.read_bytes() == warm.read_bytes()
 
     def test_module_entry_point(self, fresh_python):
         proc = fresh_python("-m", "hrx", "verify", "--help")

@@ -739,6 +739,74 @@ class TestBivariateTail:
             np.testing.assert_array_max_ulp(np.array(weights), want_weights, 4)
 
 
+def mp_erfcx(z: float) -> float:
+    """exp(z^2) erfc(z) in 40-digit mpmath, rounded to a double."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(z)
+        return float(mpmath.erfc(x) * mpmath.exp(x * x))
+
+
+class TestErfcx:
+    """The tail pass's scaled complement exp(z^2) erfc(z), one frozen
+    polynomial in t = (z - 3)/(z + 3) over the whole half-line."""
+
+    # a log grid over the range the tail passes reach, and beyond
+    GRID = np.concatenate([[0.0], np.logspace(-8.0, 12.0, 801)])
+
+    def test_coefficients_match_generator(self):
+        from make_erfcx_coefficients import coefficients
+
+        assert gauss._ERFCX_POLY == coefficients()
+
+    def test_matches_mpmath(self):
+        got = gauss._erfcx(self.GRID)
+        want = np.array([mp_erfcx(z) for z in self.GRID])
+        assert got[0] == want[0] == 1.0
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    def test_matches_scipy(self):
+        # a second oracle, itself within ~9e-16 of the truth
+        from scipy.special import erfcx
+
+        got, want = gauss._erfcx(self.GRID), erfcx(self.GRID)
+        assert np.max(np.abs(got - want) / want) <= 2e-15
+
+    def test_infinity_is_zero(self):
+        assert gauss._erfcx(np.array([math.inf])).tolist() == [0.0]
+
+    def test_diagonal_pass_arguments(self, monkeypatch):
+        # at the last double below rho = 1 the diagonal pass's other
+        # threshold w = (k - h)/(2t) reaches ~2e9 (t = 7.5e-9); every
+        # argument it meets holds the mpmath contract
+        seen = []
+        kernel = gauss._erfcx
+
+        def recorded(z):
+            seen.append(z.ravel().tolist())
+            return kernel(z)
+
+        monkeypatch.setattr(gauss, "_erfcx", recorded)
+        r = math.nextafter(1.0, 0.0)
+        for h, k in ((3.0, 3.0), (3.0, 37.0), (10.0, 10.5), (20.0, 30.0)):
+            bivariate_normal_survival(h, k, r)
+        z = sorted({v for args in seen for v in args})
+        assert max(z) > 1e9
+        got = gauss._erfcx(np.array(z))
+        want = np.array([mp_erfcx(v) for v in z])
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    def test_element_is_independent_of_its_array(self):
+        # as in a tail pass: (pairs x nodes), each element the same
+        # double alone as inside the 2-D array
+        z = np.random.default_rng(7).lognormal(1.0, 3.0, (30, 112))
+        z[0, :8] = [0.0, 1e-8, 2.9999999, 3.0, 3.0000001, 5e9, 1e12, 1e300]
+        batch = gauss._erfcx(z)
+        alone = [[gauss._erfcx(np.array([v]))[0] for v in row] for row in z]
+        assert batch.tolist() == alone
+
+
 class TestQuadratureRow:
     """The Gauss-Legendre and Genz branches as one numpy pass per row."""
 
