@@ -268,10 +268,15 @@ def fit_rate(records: Sequence[ConvergenceRecord], order: ApproxOrder) -> RateFi
 
 # -- configuration parsing ------------------------------------------------
 
+# The most values one range, or one grid, may hold.
+_MAX_VALUES = 10**6
+
+
 def _parse_range(text: str, what: str) -> tuple[float, ...]:
     """The values a + i*step of an a:b:step range, for every i with
     i*step no more than 1e-9 of a step past b - a, so that an inexact
-    step such as 0:0.3:0.1 keeps its endpoint."""
+    step such as 0:0.3:0.1 keeps its endpoint.  They are counted before
+    they are built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what} range must be a:b:step, got {text!r}")
@@ -283,7 +288,11 @@ def _parse_range(text: str, what: str) -> tuple[float, ...]:
     if not math.isfinite(steps):
         raise ValueError(
             f"{what} range must span a finite number of steps, got {text!r}")
-    return tuple(lo + i * step for i in range(math.floor(steps + 1e-9) + 1))
+    count = math.floor(steps + 1e-9) + 1
+    if count > _MAX_VALUES:
+        raise ValueError(
+            f"{what} range {text!r} has more than {_MAX_VALUES:,} values")
+    return tuple(lo + i * step for i in range(count))
 
 
 def _parse_n_values(text: str) -> tuple[int, ...]:
@@ -320,6 +329,9 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
         x_range, has_y, y_range = text[2:].partition(",y=")
         xs = _parse_axis(x_range)
         ys = _parse_axis(y_range, "y") if has_y else xs
+        if len(xs) * len(ys) > _MAX_VALUES:
+            raise ValueError(
+                f"grid {text!r} has more than {_MAX_VALUES:,} points")
         return tuple((x, y) for x in xs for y in ys)
     return tuple(_parse_point(chunk) for chunk in text.split(";")
                  if chunk.strip())

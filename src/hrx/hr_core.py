@@ -313,11 +313,9 @@ def _tau1(alpha: float, beta: float, p: _Point) -> _Real:
         - 23.0 / 4.0 * l5
         - 3.0 / 8.0 * l3 * x * y
         - alpha * l2 * x
-        + 3.0 / 4.0 * alpha * y * y
-        - a2 / (4.0 * l3) * y * y
-        - a2 / (4.0 * l3) * x * x
+        + alpha / 4.0 * (y - x) * (3.0 * y + x)
+        - a2 / (4.0 * l3) * (x - y) * (x - y)
         - alpha * l2 * y
-        - alpha / 4.0 * x * x
         - 7.0 / 4.0 * l7
         + 7.0 / 2.0 * l5 * x
         - l3 * x * x / 16.0
@@ -325,8 +323,6 @@ def _tau1(alpha: float, beta: float, p: _Point) -> _Real:
         + a2 * lam
         + 3.0 / 2.0 * l5 * y
         - 9.0 / 16.0 * l3 * y * y
-        - alpha / 2.0 * x * y
-        + a2 / (2.0 * l3) * x * y
     )
     return _weighted(c_pb, ex, p.sf_w) + _weighted(c_ph, ex, p.pdf_w)
 

@@ -37,7 +37,7 @@ from .gauss import (
 )
 from .hr_core import ApproxOrder, HRParams, check_lam, hr_cdf
 from .norming import NormingConstant, check_n, solve_bn, threshold
-from .quadrature import checked_quad
+from .quadrature import exp_sinh
 
 __all__ = [
     "ConstantRho",
@@ -316,8 +316,8 @@ def lemma31_tail_approx(
             w += (z2 * z2 / 8.0 - z2 / 2.0 - 2.0) / b4
         return std_normal_cdf(arg) * math.exp(-z) * w
 
-    integral = checked_quad(
-        integrand, y, math.inf, 1e-13, 1e-12,
+    integral = exp_sinh(
+        integrand, y, 1e-13, 1e-12,
         f"lemma 3.1 tail integral at n={n}, rho={rho!r}, x={x!r}, y={y!r}",
     ).value
     return n * std_normal_survival(u_y) - integral

@@ -26,17 +26,28 @@ _RESULTS: dict[int, list[tuple[str, bool, str]]] = defaultdict(list)
 
 @pytest.fixture
 def unconverged_quad(monkeypatch):
-    """Make every checked adaptive quadrature report a missed tolerance.
+    """Make the certificate of `hrx.quadrature.exp_sinh` fail: its
+    step-1/16 weights are scaled by 1.5, so the two steps of any integral
+    with a nonzero value disagree by half of it."""
+    monkeypatch.setattr(hrx.quadrature, "_COARSE_WEIGHTS",
+                        1.5 * hrx.quadrature._COARSE_WEIGHTS)
 
-    Returns the partial result the failing quadrature reports."""
-    partial = hrx.QuadratureResult(0.5, 1.0, 21)
 
-    def fake_quad(*args, **kwargs):
-        return (partial.value, partial.abs_error_estimate,
-                {"neval": partial.evaluations}, "forced non-convergence")
+@pytest.fixture
+def exp_sinh_calls(monkeypatch):
+    """Record each integral of the oracles and of `lemma31_tail_approx`
+    as (integrand, lower limit, value), in call order."""
+    calls = []
+    rule = hrx.quadrature.exp_sinh
 
-    monkeypatch.setattr(hrx.quadrature, "quad", fake_quad)
-    return partial
+    def recorded(integrand, lower, *args):
+        result = rule(integrand, lower, *args)
+        calls.append((integrand, lower, result.value))
+        return result
+
+    for module in (hrx.oracle, hrx.triangular):
+        monkeypatch.setattr(module, "exp_sinh", recorded)
+    return calls
 
 
 @pytest.fixture

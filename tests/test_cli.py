@@ -655,8 +655,8 @@ class TestMain:
         assert proc.stdout.split() == ["0", "False"]
 
     def test_import_leaves_scipy_integrate_unloaded(self, fresh_python):
-        # no scipy module at all: only `hrx verify` and the proof
-        # diagnostics load scipy.integrate, on first use
+        # no scipy module at all: no part of hrx imports scipy, and its
+        # quadrature rule is numpy's
         proc = fresh_python("-c", "import sys, hrx; print(sorted("
                             "m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr
@@ -706,6 +706,21 @@ class TestMain:
             cold = tmp_path / f"cold-{name}.csv"
             assert cold.read_bytes() == warm.read_bytes()
 
+    def test_cold_verify_loads_no_scipy(self, fresh_python, capsys):
+        # the 135 identity integrals take the numpy rule; the report is
+        # the one a warm process prints
+        proc = fresh_python("-c", (
+            "import sys\n"
+            "from hrx.cli import main\n"
+            "code = main(['verify', '--seed', '5'])\n"
+            "print(code, any(m.startswith('scipy') for m in sys.modules))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        *report, status = proc.stdout.splitlines()
+        assert status.split() == ["0", "False"]
+        assert main(["verify", "--seed", "5"]) == 0
+        assert report == capsys.readouterr().out.splitlines()
+
     def test_module_entry_point(self, fresh_python):
         proc = fresh_python("-m", "hrx", "verify", "--help")
         assert proc.returncode == 0
@@ -744,6 +759,30 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and " range " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--n", "3:4:1e-300", "--grid", "0,0"], "log10 n range '3:4:1e-300'"),
+        (["--n", "100", "--grid", "x=0:1:1e-300"], "grid x range '0:1:1e-300'"),
+        (["--n", "100", "--grid", "x=0:1:1,y=0:1:1e-6"],
+         "grid y range '0:1:1e-6'"),
+        (["--n", "100", "--grid", "x=0:1:1e-3"], "grid 'x=0:1:1e-3'"),
+    ])
+    def test_huge_range_exits_1(self, tmp_path, capsys, argv, named):
+        # counted before it is built: 1e300 values once ended in a
+        # MemoryError traceback
+        out = tmp_path / "study.csv"
+        assert main(["table", "--spec", "constant", "--rho", "0.5", *argv,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} has more than 1,000,000 ")
+        assert not out.exists()
+
+    def test_range_cap_is_inclusive(self):
+        assert len(_parse_axis("1:1000000:1")) == 10**6
+        with pytest.raises(ValueError, match="more than 1,000,000 values"):
+            _parse_axis("0:1000000:1")
+        with pytest.raises(ValueError, match="more than 1,000,000 points"):
+            _parse_grid("x=1:1000:1,y=0:1000:1")
 
     @pytest.mark.parametrize("column, cell", [(6, "abc"), (0, "1e3"),
                                               (15, "maybe\r\n")])

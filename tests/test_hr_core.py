@@ -84,6 +84,27 @@ def rel_err(got, want):
     return abs(got - want) / abs(want)
 
 
+def tau1_mpmath(alpha, beta, lam, x, y):
+    """tau1's closed form, term by term as derived, in 50-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, b, l, x, y = (mpmath.mpf(v) for v in (alpha, beta, lam, x, y))
+        q = mpmath.mpf(1) / 4
+        w = l + (y - x) / (2 * l)
+        c_pb = (2 * l**8 + 8 * l**6 - 4 * l**6 * x + 2 * l**4 * x * x
+                - 4 * l**4 * x - 8 * a * l**3 + 4 * a * l * x)
+        c_ph = (2 * b + 9 * a * l**2 - 23 * q * l**5 - 3 * q / 2 * l**3 * x * y
+                - a * l**2 * x + 3 * q * a * y * y - a * a / (4 * l**3) * y * y
+                - a * a / (4 * l**3) * x * x - a * l**2 * y - q * a * x * x
+                - 7 * q * l**7 + 14 * q * l**5 * x - q / 4 * l**3 * x * x
+                - a * l**4 + a * a * l + 6 * q * l**5 * y
+                - 9 * q / 4 * l**3 * y * y - 2 * q * a * x * y
+                + a * a / (2 * l**3) * x * y)
+        return float(mpmath.exp(-x)
+                     * (c_pb * mpmath.ncdf(-w) + c_ph * mpmath.npdf(w)))
+
+
 class TestParams:
     def test_constructors(self):
         p = HRParams.finite(1.5, 2.0, 3.0)
@@ -327,6 +348,14 @@ class TestTauPieces:
     def test_tau1_frozen_values(self):
         for x, want in TAU1_DIAGONAL.items():
             assert rel_err(tau1(2.0, 5.0, 1.0, x, x), want) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-5])
+    def test_tau1_small_lambda_matches_mpmath(self, lam):
+        # on the diagonal the alpha^2/lam^3 terms are ~1e15 and cancel
+        # exactly; written term by term in doubles they left tau1 66% off
+        # at lam = 1e-5
+        got = tau1(-2.0, 0.0, lam, 1.0, 1.0)
+        assert rel_err(got, tau1_mpmath(-2.0, 0.0, lam, 1.0, 1.0)) <= 1e-13
 
     def test_tau1_pure_lambda_reduction(self):
         # alpha = beta = 0 at lambda=1, x=y=0 collapses to two monomials

@@ -19,6 +19,101 @@ from hrx import (
 from hrx.gauss import check_rho
 from hrx.norming import check_n, solve_bn, threshold
 
+# The I_k and tau3 integrals of `hrx verify` at its (lam, x, y) points,
+# in 40-digit mpmath, as correctly rounded doubles; regenerated by
+# `PYTHONPATH=src python tests/make_quadrature_reference.py`.
+IK_REFERENCE = {
+    # (lam, x, y): (I_0, I_1, I_2, I_3)
+    (0.5, -2.0, -2.0): (2.279801182272305, -3.0980725057310035,
+                        4.822121546700296, -7.8457270784137085),
+    (0.5, -2.0, 0.0): (0.045883565447744336, 0.01480868204653089,
+                       0.008861860331417106, 0.007462713264519015),
+    (0.5, -2.0, 2.0): (2.5105597324459414e-05, 5.5340766398559906e-05,
+                       0.00012296320074747653, 0.00027569256976726225),
+    (0.5, 0.0, -2.0): (0.9331927987311419, -0.33707880369967924,
+                       0.8426970092491981, -0.5774357293603907),
+    (0.5, 0.0, 0.0): (0.3085375387259869, 0.19779655740130603,
+                      0.20963926002533387, 0.29077348478994514),
+    (0.5, 0.0, 2.0): (0.006209665325776135, 0.01442346783068047,
+                      0.03405453239757297, 0.0819328714368486),
+    (0.5, 2.0, -2.0): (0.13530380031431236, 0.20307380523117824,
+                       0.43967829864166025, 1.0661374774636856),
+    (0.5, 2.0, 0.0): (0.12629391173064639, 0.20696916808953814,
+                      0.43674766386495356, 1.0690598319765066),
+    (0.5, 2.0, 2.0): (0.04175601519260879, 0.11028088350435027,
+                      0.30247106188000833, 0.8648558026904613),
+    (1.0, -2.0, -2.0): (2.3446251433792473, -2.226759542433612,
+                        3.9820566810846842, -5.135338939474127),
+    (1.0, -2.0, 0.0): (0.3362040024463412, 0.25095311182036584,
+                       0.3410035625039014, 0.6436106445473212),
+    (1.0, -2.0, 2.0): (0.01994894456710166, 0.05119292788265996,
+                       0.1370014790399, 0.38549233150594603),
+    (1.0, 0.0, -2.0): (1.0, -0.4042308783942693,
+                       1.6169235135770772, -0.08461756788538577),
+    (1.0, 0.0, 0.0): (0.3173105078629141, 0.3332618823507452,
+                      0.602718266750166, 1.4606585253056295),
+    (1.0, 0.0, 2.0): (0.04550026389635842, 0.12496333826003538,
+                      0.36400211117086734, 1.1355579479495572),
+    (1.0, 2.0, -2.0): (0.22772725901764448, 0.1309887061510666,
+                       0.6489316237684447, 1.5718644738127991),
+    (1.0, 2.0, 0.0): (0.1353352832366127, 0.2159638660527522,
+                      0.5413411329464508, 1.7277109284220176),
+    (1.0, 2.0, 2.0): (0.0429433074555809, 0.1309887061510666,
+                      0.4337506421244568, 1.5718644738127991),
+    (2.0, -2.0, -2.0): (0.6724080048926824, -0.3410035625039014,
+                        1.402410730476087, 0.5960846408059741),
+    (2.0, -2.0, 0.0): (0.18353426179097734, 0.23693891274449425,
+                       0.5671590612106948, 1.910454595716868),
+    (2.0, -2.0, 2.0): (0.03989788913420332, 0.12497593326223319,
+                       0.43651654273345397, 1.7298837354739878),
+    (2.0, 0.0, -2.0): (0.2672288050754323, -0.06554890994919046,
+                       0.6554890994919047, 0.9476482083077379),
+    (2.0, 0.0, 0.0): (0.09100052779271683, 0.1358512418692742,
+                      0.36919850972927565, 1.3936516619825692),
+    (2.0, 0.0, 2.0): (0.02483866130310454, 0.08174351747226027,
+                      0.3043760568657837, 1.3025953357744458),
+    (2.0, 2.0, -2.0): (0.0858866149111618, 0.008635135137295594,
+                       0.27446537854628245, 0.7253513515328298),
+    (2.0, 2.0, 0.0): (0.03616548602386519, 0.06345989175390547,
+                      0.19788842585841024, 0.8433859809745136),
+    (2.0, 2.0, 2.0): (0.012315582203508577, 0.04301663070344096,
+                      0.17276977888447634, 0.8075540049012222),
+}
+TAU3_REFERENCE = {
+    # (lam, x, y): tau3's defining integral
+    (0.5, -2.0, -2.0): -6.580277671415259,
+    (0.5, -2.0, 0.0): -0.04320168078585762,
+    (0.5, -2.0, 2.0): -8.792138161138176e-06,
+    (0.5, 0.0, -2.0): -14.788750120023039,
+    (0.5, 0.0, 0.0): -0.8110604969330472,
+    (0.5, 0.0, 2.0): -0.0024666483716854204,
+    (0.5, 2.0, -2.0): -16.521618668757863,
+    (0.5, 2.0, 0.0): -1.7494450084772357,
+    (0.5, 2.0, 2.0): 0.03141505045721342,
+    (1.0, -2.0, -2.0): -11.608427847862608,
+    (1.0, -2.0, 0.0): -0.6772075649502426,
+    (1.0, -2.0, 2.0): 0.012664022430998036,
+    (1.0, 0.0, -2.0): -15.250369952203497,
+    (1.0, 0.0, 0.0): -1.2692420314516564,
+    (1.0, 0.0, 2.0): 0.11745432891259856,
+    (1.0, 2.0, -2.0): -16.027788254533487,
+    (1.0, 2.0, 0.0): -1.32456801434132,
+    (1.0, 2.0, 2.0): 0.4624533327881407,
+    (2.0, -2.0, -2.0): -15.01809020073931,
+    (2.0, -2.0, 0.0): -0.7527875767940503,
+    (2.0, -2.0, 2.0): 0.9610633909591565,
+    (2.0, 0.0, -2.0): -15.164150127400015,
+    (2.0, 0.0, 0.0): -0.5398165552130484,
+    (2.0, 0.0, 2.0): 1.2872961209753295,
+    (2.0, 2.0, -2.0): -15.066472067696973,
+    (2.0, 2.0, 0.0): -0.32532306731826355,
+    (2.0, 2.0, 2.0): 1.5489785935259468,
+}
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
 
 def _chunked_reference(
     n: int, rho: float, x: float, y: float, trials: int, seed: int
@@ -85,7 +180,7 @@ class TestQuadSemiInfinite:
             quad_semi_infinite(lambda z: math.exp(-z), 0.0, tol)
 
     def test_nonconvergence_raises_with_partial(self):
-        # a non-decaying oscillation defeats the decay-based transform
+        # a non-decaying oscillation defeats the decay-based rule
         with pytest.raises(QuadratureConvergenceError) as info:
             quad_semi_infinite(lambda z: math.sin(200.0 * z), 0.0, 1e-10)
         partial = info.value.partial
@@ -95,24 +190,56 @@ class TestQuadSemiInfinite:
     def test_missed_tolerance_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:
             quad_semi_infinite(lambda z: math.exp(-z), 0.0, 1e-10)
-        assert info.value.partial == unconverged_quad
+        assert isinstance(info.value.partial, QuadratureResult)
+        assert info.value.partial.evaluations == 385
 
 
-class TestCheckedQuad:
-    def test_flag_with_estimate_in_tolerance_is_kept(self, monkeypatch):
-        # QUADPACK may flag roundoff after it has met the tolerance anyway
-        monkeypatch.setattr(
-            hrx.quadrature, "quad",
-            lambda *a, **kw: (2.0, 1e-14, {"neval": 63}, "roundoff"),
-        )
-        got = hrx.quadrature.checked_quad(math.exp, 0.0, 1.0, 0.0, 1e-13, "f")
-        assert got == QuadratureResult(2.0, 1e-14, 63)
+class TestExpSinh:
+    def test_nodes(self):
+        # t = -6 + i/32, z = lower + exp(t - e^{-t}); the step-1/16 rule
+        # takes the even nodes, from both ends of [-6, 6]
+        seen = []
+        hrx.quadrature.exp_sinh(lambda z: seen.append(z) or 0.0, 1.0,
+                                0.0, 1e-12, "f")
+        assert len(seen) == 385
+        for i in (0, 192, 384):
+            t = -6.0 + i / 32.0
+            assert seen[i] == 1.0 + math.exp(t - math.exp(-t))
+        assert seen == sorted(seen) and seen[-1] < 1.0 + 403.0
+        assert len(hrx.quadrature._COARSE_WEIGHTS) == 193
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_gamma_integrals(self, k):
+        # int_0^inf z^k e^{-z} dz = k!, both steps to a few ulp
+        got = hrx.quadrature.exp_sinh(lambda z: z**k * math.exp(-z), 0.0,
+                                      0.0, 1e-14, "f")
+        assert abs(got.value - math.factorial(k)) <= 4e-16 * math.factorial(k)
+        assert got.abs_error_estimate <= 1e-14 * got.value
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_raises(self, bad):
+        def integrand(z):
+            return bad if z > 100.0 else math.exp(-z)
+
+        with pytest.raises(QuadratureConvergenceError) as info:
+            hrx.quadrature.exp_sinh(integrand, 0.0, 1.0, 1.0, "f")
+        assert math.isnan(info.value.partial.abs_error_estimate)
+
+    def test_infinities_of_both_signs_raise(self):
+        def integrand(z):
+            return math.copysign(math.inf, z - 200.0)
+
+        with pytest.raises(QuadratureConvergenceError):
+            hrx.quadrature.exp_sinh(integrand, 0.0, 1.0, 1.0, "f")
 
     def test_missed_tolerance_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:
-            hrx.quadrature.checked_quad(math.exp, 0.0, 1.0, 0.0, 1e-13, "f")
-        assert info.value.partial == unconverged_quad
-        assert str(info.value) == "f: forced non-convergence"
+            hrx.quadrature.exp_sinh(lambda z: math.exp(-z), 0.0, 0.0,
+                                    1e-13, "f")
+        partial = info.value.partial
+        assert isinstance(partial, QuadratureResult)
+        assert partial.evaluations == 385
+        assert str(info.value).startswith("f: the step-1/16 and step-1/32 rules")
 
 
 class TestIkQuadrature:
@@ -135,6 +262,37 @@ class TestIkQuadrature:
     def test_lambda_domain(self, lam):
         with pytest.raises(ValueError):
             I_k_quadrature(0, lam, 0.0, 0.0)
+
+
+class TestVerifyIntegrals:
+    """The 135 integrals of `hrx verify` against 40-digit mpmath, and
+    scipy's adaptive `quad` as a second oracle on the same integrands."""
+
+    def test_tables_cover_verify(self):
+        assert list(IK_REFERENCE) == list(TAU3_REFERENCE) == hrx.cli._LAM_XY
+
+    def test_I_k_matches_mpmath(self):
+        for (lam, x, y), wants in IK_REFERENCE.items():
+            for k, want in enumerate(wants):
+                got = I_k_quadrature(k, lam, x, y)
+                assert rel_err(got, want) <= 1e-14, (k, lam, x, y)
+
+    def test_tau3_matches_mpmath(self):
+        for (lam, x, y), want in TAU3_REFERENCE.items():
+            integrand = hrx.cli._tau3_integrand(lam, x)
+            got = quad_semi_infinite(integrand, y, 1e-12).value
+            assert rel_err(got, want) <= 1e-14, (lam, x, y)
+
+    def test_scipy_quad_agrees(self, exp_sinh_calls):
+        # QUADPACK itself is up to 2.3e-11 off on these integrals
+        from scipy.integrate import quad
+
+        hrx.cli._verify_identities()
+        assert len(exp_sinh_calls) == 135
+        for integrand, lower, value in exp_sinh_calls:
+            want = quad(integrand, lower, math.inf, epsabs=0.0,
+                        epsrel=1e-12, limit=200)[0]
+            assert rel_err(value, want) <= 1e-10, lower
 
 
 class TestMonteCarlo:

@@ -42,6 +42,94 @@ LEM31_EXACT_NP = 0.0052207736195536855
 LEM31_SECOND = 0.010114326557501204
 LEM31_THIRD = 0.0038278858225606374
 
+# The tail integral of lemma31_tail_approx, in 40-digit mpmath from the
+# doubles b, b^2, u_n(x) and sqrt((1-rho)(1+rho)) the program forms, as
+# correctly rounded doubles; regenerated by
+# `PYTHONPATH=src python tests/make_quadrature_reference.py`.
+LEMMA31_INTEGRALS = {
+    # (n, rho, x, y): (second-order, third-order) tail integral
+    (1000, -0.9, 0.0, 0.0): (1.0, 1.0),
+    (1000, -0.9, 1.0, 1.0): (0.31009452065372084, 0.3247179427288069),
+    (1000, -0.9, -1.0, 2.0): (0.0786475918547578, 0.09942419565446954),
+    (1000, -0.9, 2.0, -1.0): (2.8606071682516094, 2.819621439052207),
+    (1000, 0.0, 0.0, 0.0): (0.999, 0.999),
+    (1000, 0.0, 1.0, 1.0): (0.3099952036947687, 0.32461394218561435),
+    (1000, 0.0, -1.0, 2.0): (0.07842486720932745, 0.09914263307636502),
+    (1000, 0.0, 2.0, -1.0): (2.860341262335235, 2.8193593429381716),
+    (1000, 0.5, 0.0, 0.0): (0.9481916711180222, 0.9437431199228393),
+    (1000, 0.5, 1.0, 1.0): (0.30043800936276704, 0.3118227562383246),
+    (1000, 0.5, -1.0, 2.0): (0.06619104033680855, 0.07887528702650465),
+    (1000, 0.5, 2.0, -1.0): (2.8440653222537686, 2.8014851789788615),
+    (1000, 0.9, 0.0, 0.0): (0.5674939009520567, 0.5554353475071484),
+    (1000, 0.9, 1.0, 1.0): (0.19383574811255333, 0.19033109068794804),
+    (1000, 0.9, -1.0, 2.0): (0.003875182424505094, 0.003871466805107981),
+    (1000, 0.9, 2.0, -1.0): (2.7822075538948727, 2.7243219627542166),
+    (1000, 0.99, 0.0, 0.0): (0.19132637149347334, 0.18741884383397087),
+    (1000, 0.99, 1.0, 1.0): (0.06694311842912319, 0.06519164459441157),
+    (1000, 0.99, -1.0, 2.0): (1.3154690854205897e-13, 1.2850092680722892e-13),
+    (1000, 0.99, 2.0, -1.0): (2.7816639764546407, 2.720146906818666),
+    (10000, -0.9, 0.0, 0.0): (1.0, 1.0),
+    (10000, -0.9, 1.0, 1.0): (0.3279824109058249, 0.3349535077336123),
+    (10000, -0.9, -1.0, 2.0): (0.09619582404057149, 0.10610018952333516),
+    (10000, -0.9, 2.0, -1.0): (2.8165489600635056, 2.797010750379106),
+    (10000, 0.0, 0.0, 0.0): (0.9999, 0.9999),
+    (10000, 0.0, 1.0, 1.0): (0.327971479349367, 0.33494234383256516),
+    (10000, 0.0, -1.0, 2.0): (0.09616887379850196, 0.10607046447217212),
+    (10000, 0.0, 2.0, -1.0): (2.816519755248911, 2.7969817481563353),
+    (10000, 0.5, 0.0, 0.0): (0.9773079620054721, 0.9763044857229235),
+    (10000, 0.5, 1.0, 1.0): (0.323182706895054, 0.3294691476299946),
+    (10000, 0.5, -1.0, 2.0): (0.08896036737677314, 0.09695700958459856),
+    (10000, 0.5, 2.0, -1.0): (2.8082340115628908, 2.7883774159257633),
+    (10000, 0.9, 0.0, 0.0): (0.6401916147988874, 0.6338603002930029),
+    (10000, 0.9, 1.0, 1.0): (0.222570583851753, 0.22124912988297862),
+    (10000, 0.9, -1.0, 2.0): (0.011338797590025177, 0.011401696429993146),
+    (10000, 0.9, 2.0, -1.0): (2.7292972804344133, 2.70253967977259),
+    (10000, 0.99, 0.0, 0.0): (0.22267096170354808, 0.220420858562417),
+    (10000, 0.99, 1.0, 1.0): (0.07901346181715953, 0.07802277401326928),
+    (10000, 0.99, -1.0, 2.0): (3.179814901895381e-10, 3.147158456493498e-10),
+    (10000, 0.99, 2.0, -1.0): (2.7201470572944824, 2.690888298384135),
+    (1000000, -0.9, 0.0, 0.0): (1.0, 1.0),
+    (1000000, -0.9, 1.0, 1.0): (0.34345730707469335, 0.346069391428299),
+    (1000000, -0.9, -1.0, 2.0): (0.11137688045334325, 0.11508806661945625),
+    (1000000, -0.9, 2.0, -1.0): (2.7784340014245403, 2.7711129939740835),
+    (1000000, 0.0, 0.0, 0.0): (0.999999, 0.999999),
+    (1000000, 0.0, 1.0, 1.0): (0.34345718836297134, 0.34606927181374275),
+    (1000000, 0.0, -1.0, 2.0): (0.11137657168218949, 0.11508774755974682),
+    (1000000, 0.0, 2.0, -1.0): (2.7784336834023646, 2.771112676789877),
+    (1000000, 0.5, 0.0, 0.0): (0.9955800607233998, 0.9955005580977809),
+    (1000000, 0.5, 1.0, 1.0): (0.3424307953071263, 0.3449920484326284),
+    (1000000, 0.5, -1.0, 2.0): (0.10965041415738844, 0.11320275212767227),
+    (1000000, 0.5, 2.0, -1.0): (2.7766055600719697, 2.7692623191157177),
+    (1000000, 0.9, 0.0, 0.0): (0.7452318696412406, 0.7427862149936486),
+    (1000000, 0.9, 1.0, 1.0): (0.2634472820992015, 0.2633453761458356),
+    (1000000, 0.9, -1.0, 2.0): (0.031471186870424744, 0.031666091354757606),
+    (1000000, 0.9, 2.0, -1.0): (2.6972982334614968, 2.68781992725748),
+    (1000000, 0.99, 0.0, 0.0): (0.2751227822071957, 0.27404082444061206),
+    (1000000, 0.99, 1.0, 1.0): (0.09888489948980365, 0.09842528685271827),
+    (1000000, 0.99, -1.0, 2.0): (3.34289390194934e-07, 3.3313958387235574e-07),
+    (1000000, 0.99, 2.0, -1.0): (2.6669288539238774, 2.6560182049809873),
+    (1000000000, -0.9, 0.0, 0.0): (1.0, 1.0),
+    (1000000000, -0.9, 1.0, 1.0): (0.35253992005861806, 0.3535704095746375),
+    (1000000000, -0.9, -1.0, 2.0): (0.12028703135708382, 0.12175112589556869),
+    (1000000000, -0.9, 2.0, -1.0): (2.7560633558035086, 2.7531751560353874),
+    (1000000000, 0.0, 0.0, 0.0): (0.999999999, 0.999999999),
+    (1000000000, 0.0, 1.0, 1.0): (0.35253991993401157, 0.3535704094496668),
+    (1000000000, 0.0, -1.0, 2.0): (0.12028703102587368, 0.12175112556032716),
+    (1000000000, 0.0, 2.0, -1.0): (2.756063355468421, 2.7531751557006516),
+    (1000000000, 0.5, 0.0, 0.0): (0.9996057858061603, 0.9996028240458238),
+    (1000000000, 0.5, 1.0, 1.0): (0.3524437149480267, 0.35347239112393475),
+    (1000000000, 0.5, -1.0, 2.0): (0.12011562028454084, 0.12157358026037166),
+    (1000000000, 0.5, 2.0, -1.0): (2.755887611180252, 2.752998651993749),
+    (1000000000, 0.9, 0.0, 0.0): (0.8426110967065735, 0.8417674915535748),
+    (1000000000, 0.9, 1.0, 1.0): (0.3011326489712945, 0.30134642908913883),
+    (1000000000, 0.9, -1.0, 2.0): (0.06056197173692797, 0.06083539428341091),
+    (1000000000, 0.9, 2.0, -1.0): (2.6958007430288884, 2.6923131274129575),
+    (1000000000, 0.99, 0.0, 0.0): (0.33791910407329384, 0.33738093930463353),
+    (1000000000, 0.99, 1.0, 1.0): (0.12241092414567593, 0.12219463977702734),
+    (1000000000, 0.99, -1.0, 2.0): (2.452873832685789e-05, 2.4500566277367556e-05),
+    (1000000000, 0.99, 2.0, -1.0): (2.635717835019918, 2.6314464844520398),
+}
+
 # ThirdOrderHR(1, 2, 5) at n = 10^6
 A1_AT_1E6 = 1.8445297580270595
 A2_AT_1E6 = -1.4634286110645156
@@ -441,10 +529,35 @@ class TestLemma31TailApprox:
             got = lemma31_tail_approx(n, 0.0, 0.0, 0.0, order)
             assert abs(got - want) <= 1e-10
 
+    def test_integrals_match_mpmath(self):
+        # the tail integral is recovered as n Phibar(u_n(y)) - approx;
+        # two roundings of values below 3 add at most 4.4e-16
+        for (n, rho, x, y), wants in LEMMA31_INTEGRALS.items():
+            first = n * hrx.std_normal_survival(threshold(solve_bn(n), y))
+            for order, want in zip((ApproxOrder.SECOND, ApproxOrder.THIRD),
+                                   wants):
+                got = first - lemma31_tail_approx(n, rho, x, y, order)
+                assert abs(got - want) <= 1e-15, (n, rho, x, y, order)
+
+    def test_scipy_quad_agrees(self, exp_sinh_calls):
+        # scipy's adaptive quad, a second oracle on the same integrands,
+        # at the tolerance the rule is asked for
+        from scipy.integrate import quad
+
+        for n, rho, x, y in LEMMA31_INTEGRALS:
+            for order in (ApproxOrder.SECOND, ApproxOrder.THIRD):
+                lemma31_tail_approx(n, rho, x, y, order)
+        assert len(exp_sinh_calls) == 2 * len(LEMMA31_INTEGRALS)
+        for integrand, lower, value in exp_sinh_calls:
+            want = quad(integrand, lower, math.inf, epsabs=1e-13,
+                        epsrel=1e-12, limit=200)[0]
+            assert abs(value - want) <= 1e-13
+
     def test_unconverged_integral_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:
             lemma31_tail_approx(10**4, 0.5, 1.0, 1.0, ApproxOrder.SECOND)
-        assert info.value.partial == unconverged_quad
+        assert isinstance(info.value.partial, hrx.QuadratureResult)
+        assert info.value.partial.evaluations == 385
         assert "lemma 3.1" in str(info.value)
 
     def test_domain(self):
