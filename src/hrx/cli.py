@@ -23,7 +23,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gauss import std_normal_cdf, std_normal_survival
+from .gauss import (
+    std_normal_cdf,  # unused here; perfbench's tracer wraps this binding
+    std_normal_cdf_array,
+    std_normal_survival,
+)
 from .hr_core import (
     ApproxOrder,
     HRParams,
@@ -410,9 +414,9 @@ def _worst_check(name: str, bound: float, measure: str,
     return name, worst <= bound, f"worst {measure} {worst:.3e}"
 
 
-def _tau3_integrand(lam: float, x: float) -> Callable[[float], float]:
-    def integrand(z: float) -> float:
-        return (std_normal_cdf(lam + (x - z) / (2.0 * lam)) * math.exp(-z)
+def _tau3_integrand(lam: float, x: float) -> Callable[[np.ndarray], np.ndarray]:
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return (std_normal_cdf_array(lam + (x - z) / (2.0 * lam)) * np.exp(-z)
                 * (z**4 / 8.0 - z * z / 2.0 - 2.0))
     return integrand
 

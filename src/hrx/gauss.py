@@ -60,6 +60,9 @@ complement erfcx(z) = exp(z^2) erfc(z) from `_erfcx`: r q(t) with
 r = 3/(z + 3), t = 1 - 2r = (z - 3)/(z + 3) and q a frozen degree-24
 polynomial, evaluated by Horner's rule over the whole half-line z >= 0.
 Against 40-digit mpmath it is within 1e-15 relative on [0, inf).
+`std_normal_pdf_array` and `std_normal_cdf_array` give phi and Phi on
+the node arrays of the quadrature integrands, Phi from `_erfcx` by
+reflection.
 """
 from __future__ import annotations
 
@@ -75,6 +78,8 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_survival",
+    "std_normal_pdf_array",
+    "std_normal_cdf_array",
     "bivariate_normal_cdf",
     "bivariate_normal_survival",
     "check_rho",
@@ -173,6 +178,34 @@ def std_normal_survival(x: float) -> float:
     if x < 8.0:
         return _half_erfc_scaled(x)
     return std_normal_pdf(x) * _tail_cf(x)
+
+
+def _exp_neg_half_square_array(x: np.ndarray) -> np.ndarray:
+    """`_exp_neg_half_square` elementwise on numpy's exp, and exactly 0
+    where |x| >= 40 (below every normal probability), where exp is not
+    called; a NaN stays NaN."""
+    out = np.zeros(x.shape)
+    live = ~(np.abs(x) >= _SATURATED)
+    v = x[live]
+    t = _SPLIT * v
+    hi = t - (t - v)
+    lo = v - hi
+    out[live] = np.exp(-0.5 * hi * hi) * np.exp(-0.5 * lo * (hi + hi + lo))
+    return out
+
+
+def std_normal_pdf_array(x: np.ndarray) -> np.ndarray:
+    """phi elementwise, for the quadrature integrands: the square is
+    carried exactly at every |x| < 40, and beyond that the value is 0."""
+    return _INV_SQRT_2PI * _exp_neg_half_square_array(x)
+
+
+def std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
+    """Phi elementwise, for the quadrature integrands, from the lower
+    tail Phi(-|x|) = erfcx(|x|/sqrt(2)) exp(-x^2/2) / 2: that tail below
+    0 and one minus it above, 0 and 1 beyond |x| = 40."""
+    tail = 0.5 * _erfcx(np.abs(x) * _SQRT1_2_HI) * _exp_neg_half_square_array(x)
+    return np.where(x < 0.0, tail, 1.0 - tail)
 
 
 # Gauss-Legendre nodes/weights for [-1, 1], halved rules: the 3-, 6- and

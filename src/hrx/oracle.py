@@ -4,7 +4,9 @@ Everything here exists to check the closed forms and exact evaluators
 from the outside; no expansion code path depends on this module.  The
 semi-infinite integrals all carry an e^{-z} factor, which the fixed
 double-exponential rule `quadrature.exp_sinh` integrates to rounding
-error; its step-1/16 and step-1/32 values certify each integral.
+error; its step-1/16 and step-1/32 values certify each integral.  Each
+integrand is a numpy function of the rule's whole node array, so one
+integral is one integrand call.
 """
 from __future__ import annotations
 
@@ -14,7 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .gauss import check_rho, std_normal_pdf
+from .gauss import (
+    check_rho,
+    std_normal_pdf,  # unused here; perfbench's tracer wraps this binding
+    std_normal_pdf_array,
+)
 from .hr_core import check_k, check_lam
 from .norming import check_n, solve_bn, threshold
 from .quadrature import QuadratureConvergenceError, QuadratureResult, exp_sinh
@@ -29,17 +35,21 @@ __all__ = [
 
 
 def quad_semi_infinite(
-    integrand: Callable[[float], float], lower: float, tol: float
+    integrand: Callable[[np.ndarray], np.ndarray], lower: float, tol: float
 ) -> QuadratureResult:
-    """Certified quadrature of a scalar integrand over [lower, inf).
+    """Certified quadrature over [lower, inf) of an integrand that maps
+    the array of nodes to the float64 array of its values.
 
     Assumes eventual exponential decay (every integral in this package
     has an explicit e^{-z} factor); deterministic for identical inputs.
     Asks `exp_sinh` for tol/10 absolute or 1e-12 relative, and raises
-    QuadratureConvergenceError where its certificate misses both.
+    QuadratureConvergenceError where its certificate misses both.  A
+    NaN `lower` or a `tol` that is not positive is a ValueError.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if math.isnan(lower):
+        raise ValueError(f"requires a lower limit that is not NaN, got {lower}")
     return exp_sinh(integrand, lower, 0.1 * tol, 1e-12,
                     f"integral over [{lower!r}, inf)")
 
@@ -48,9 +58,14 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
     """int_y^inf phi(lam + (x-z)/(2 lam)) e^{-z} z^k dz by quadrature."""
     k = check_k(k)
     check_lam(lam)
+    for name, value in (("x", x), ("y", y)):
+        if math.isnan(value):
+            raise ValueError(f"I_k_quadrature requires {name} that is not "
+                             f"NaN, got {value}")
 
-    def integrand(z: float) -> float:
-        return std_normal_pdf(lam + (x - z) / (2.0 * lam)) * math.exp(-z) * z**k
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return (std_normal_pdf_array(lam + (x - z) / (2.0 * lam)) * np.exp(-z)
+                * z**k)
 
     return quad_semi_infinite(integrand, y, 1e-10).value
 

@@ -28,11 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .gauss import (
     bivariate_normal_survival,  # unused here; perfbench's tracer wraps this binding
     bivariate_survival_row,
     check_rho,
     std_normal_cdf,
+    std_normal_cdf_array,
     std_normal_survival,
 )
 from .hr_core import ApproxOrder, HRParams, check_lam, hr_cdf
@@ -308,13 +311,13 @@ def lemma31_tail_approx(
     spread = math.sqrt((1.0 - rho) * (1.0 + rho))
     third = order is ApproxOrder.THIRD
 
-    def integrand(z: float) -> float:
+    def integrand(z: np.ndarray) -> np.ndarray:
         arg = (u_x - rho * (b + z / b)) / spread
         z2 = z * z
         w = 1.0 + (1.0 - z2 / 2.0) / b2
         if third:
             w += (z2 * z2 / 8.0 - z2 / 2.0 - 2.0) / b4
-        return std_normal_cdf(arg) * math.exp(-z) * w
+        return std_normal_cdf_array(arg) * np.exp(-z) * w
 
     integral = exp_sinh(
         integrand, y, 1e-13, 1e-12,

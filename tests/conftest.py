@@ -6,12 +6,15 @@ aggregated over its subchecks.
 """
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -33,16 +36,42 @@ def unconverged_quad(monkeypatch):
                         1.5 * hrx.quadrature._COARSE_WEIGHTS)
 
 
+class RecordedIntegral(NamedTuple):
+    """One `exp_sinh` integral: its array integrand, lower limit and value."""
+
+    integrand: Callable[[np.ndarray], np.ndarray]
+    lower: float
+    value: float
+
+    def scalar(self, z: float) -> float:
+        """The integrand at one point, for scipy's scalar `quad`."""
+        return float(self.integrand(np.array([z]))[0])
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted node values the step-1/32 and step-1/16 rules sum."""
+        values = self.integrand(self.lower + hrx.quadrature._OFFSETS)
+        return (hrx.quadrature._FINE_WEIGHTS * values,
+                hrx.quadrature._COARSE_WEIGHTS * values[::2])
+
+    def sums_match_fsum(self) -> bool:
+        """Whether the value and both of the rule's split sums equal
+        `math.fsum` of every term, bit for bit."""
+        fine, coarse = self.terms()
+        return self.value == math.fsum(fine.tolist()) and all(
+            hrx.quadrature._rule_sum(terms) == math.fsum(terms.tolist())
+            for terms in (fine, coarse))
+
+
 @pytest.fixture
 def exp_sinh_calls(monkeypatch):
     """Record each integral of the oracles and of `lemma31_tail_approx`
-    as (integrand, lower limit, value), in call order."""
+    as a RecordedIntegral, in call order."""
     calls = []
     rule = hrx.quadrature.exp_sinh
 
     def recorded(integrand, lower, *args):
         result = rule(integrand, lower, *args)
-        calls.append((integrand, lower, result.value))
+        calls.append(RecordedIntegral(integrand, lower, result.value))
         return result
 
     for module in (hrx.oracle, hrx.triangular):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import hrx
@@ -64,7 +65,7 @@ def test_criterion_01_tau3_integral(lam, criterion):
             def integrand(z, x=x, lam=lam):
                 w = lam + (x - z) / (2.0 * lam)
                 poly = z**4 / 8.0 - z * z / 2.0 - 2.0
-                return hrx.std_normal_cdf(w) * math.exp(-z) * poly
+                return hrx.std_normal_cdf_array(w) * np.exp(-z) * poly
 
             ref = hrx.quad_semi_infinite(integrand, y, 1e-12).value
             closed = hrx.tau3(lam, x, y)

@@ -466,6 +466,42 @@ class TestSurvival:
             assert rel_err(cf_path, erfc_path) <= 5e-14
 
 
+class TestNormalArrays:
+    """phi and Phi elementwise, as the quadrature integrands take them."""
+
+    # every double of the grid lies in the normal range of both functions
+    GRID = np.linspace(-37.0, 37.0, 2961)
+
+    def test_match_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(40):
+            pdf = np.array([float(mpmath.npdf(x)) for x in self.GRID])
+            cdf = np.array([float(mpmath.ncdf(x)) for x in self.GRID])
+        got_pdf = gauss.std_normal_pdf_array(self.GRID)
+        got_cdf = gauss.std_normal_cdf_array(self.GRID)
+        assert np.max(np.abs(got_pdf - pdf) / pdf) <= 1e-15
+        assert np.max(np.abs(got_cdf - cdf) / cdf) <= 1.5e-15
+
+    def test_saturation_and_nan(self):
+        x = np.array([[40.0, -40.0, 1e200, -1e200],
+                      [math.inf, -math.inf, math.nan, 0.0]])
+        pdf = gauss.std_normal_pdf_array(x)
+        cdf = gauss.std_normal_cdf_array(x)
+        assert pdf.shape == cdf.shape == x.shape
+        assert pdf[0].tolist() == [0.0] * 4 and pdf[1, :2].tolist() == [0.0] * 2
+        assert cdf[0].tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert cdf[1, :2].tolist() == [1.0, 0.0]
+        assert math.isnan(pdf[1, 2]) and math.isnan(cdf[1, 2])
+        assert pdf[1, 3] == std_normal_pdf(0.0) and cdf[1, 3] == 0.5
+
+    def test_element_is_independent_of_its_array(self):
+        x = np.random.default_rng(3).normal(0.0, 12.0, 385)
+        for f in (gauss.std_normal_pdf_array, gauss.std_normal_cdf_array):
+            alone = [f(np.array([v]))[0] for v in x]
+            assert f(x).tolist() == alone
+
+
 class TestBivariateCdf:
     def test_frozen_values(self):
         for h, k, r, want in BVN_CDF_SAMPLES:

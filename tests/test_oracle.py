@@ -149,27 +149,27 @@ def _chunked_reference(
 
 class TestQuadSemiInfinite:
     def test_exponential_integral(self):
-        r = quad_semi_infinite(lambda z: math.exp(-z), 0.0, 1e-12)
+        r = quad_semi_infinite(lambda z: np.exp(-z), 0.0, 1e-12)
         assert abs(r.value - 1.0) <= 1e-12
         assert r.abs_error_estimate >= 0.0
         assert r.evaluations > 0
 
     def test_gamma_two(self):
-        r = quad_semi_infinite(lambda z: z * math.exp(-z), 0.0, 1e-12)
+        r = quad_semi_infinite(lambda z: z * np.exp(-z), 0.0, 1e-12)
         assert abs(r.value - 1.0) <= 1e-12
 
     def test_shifted_lower_limit(self):
-        r = quad_semi_infinite(lambda z: math.exp(-z), 2.5, 1e-12)
+        r = quad_semi_infinite(lambda z: np.exp(-z), 2.5, 1e-12)
         assert abs(r.value - math.exp(-2.5)) <= 1e-12
 
     def test_deterministic(self):
-        f = lambda z: math.exp(-z) * math.cos(z)
+        f = lambda z: np.exp(-z) * np.cos(z)
         assert quad_semi_infinite(f, 0.0, 1e-10) == quad_semi_infinite(
             f, 0.0, 1e-10
         )
 
     def test_result_is_frozen(self):
-        r = quad_semi_infinite(lambda z: math.exp(-z), 0.0, 1e-10)
+        r = quad_semi_infinite(lambda z: np.exp(-z), 0.0, 1e-10)
         assert isinstance(r, QuadratureResult)
         with pytest.raises(AttributeError):
             r.value = 0.0
@@ -177,19 +177,24 @@ class TestQuadSemiInfinite:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_tolerance_domain(self, tol):
         with pytest.raises(ValueError):
-            quad_semi_infinite(lambda z: math.exp(-z), 0.0, tol)
+            quad_semi_infinite(lambda z: np.exp(-z), 0.0, tol)
+
+    def test_nan_lower_limit_is_a_value_error(self):
+        # an invalid input, not a numerical failure (exit 2)
+        with pytest.raises(ValueError, match="lower limit that is not NaN"):
+            quad_semi_infinite(lambda z: np.exp(-z), math.nan, 1e-10)
 
     def test_nonconvergence_raises_with_partial(self):
         # a non-decaying oscillation defeats the decay-based rule
         with pytest.raises(QuadratureConvergenceError) as info:
-            quad_semi_infinite(lambda z: math.sin(200.0 * z), 0.0, 1e-10)
+            quad_semi_infinite(lambda z: np.sin(200.0 * z), 0.0, 1e-10)
         partial = info.value.partial
         assert isinstance(partial, QuadratureResult)
         assert partial.abs_error_estimate > 1e-10
 
     def test_missed_tolerance_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:
-            quad_semi_infinite(lambda z: math.exp(-z), 0.0, 1e-10)
+            quad_semi_infinite(lambda z: np.exp(-z), 0.0, 1e-10)
         assert isinstance(info.value.partial, QuadratureResult)
         assert info.value.partial.evaluations == 385
 
@@ -199,19 +204,31 @@ class TestExpSinh:
         # t = -6 + i/32, z = lower + exp(t - e^{-t}); the step-1/16 rule
         # takes the even nodes, from both ends of [-6, 6]
         seen = []
-        hrx.quadrature.exp_sinh(lambda z: seen.append(z) or 0.0, 1.0,
-                                0.0, 1e-12, "f")
-        assert len(seen) == 385
+        hrx.quadrature.exp_sinh(lambda z: seen.append(z) or np.zeros_like(z),
+                                1.0, 0.0, 1e-12, "f")
+        [nodes] = seen
+        assert nodes.shape == (385,) and nodes.dtype == np.float64
         for i in (0, 192, 384):
             t = -6.0 + i / 32.0
-            assert seen[i] == 1.0 + math.exp(t - math.exp(-t))
-        assert seen == sorted(seen) and seen[-1] < 1.0 + 403.0
+            assert nodes[i] == 1.0 + math.exp(t - math.exp(-t))
+        assert np.all(np.diff(nodes) >= 0.0) and nodes[-1] < 1.0 + 403.0
         assert len(hrx.quadrature._COARSE_WEIGHTS) == 193
+
+    def test_one_integrand_call_per_integral(self):
+        calls = []
+
+        def integrand(z):
+            calls.append(z.shape)
+            return np.exp(-z)
+
+        for lower in (0.0, 1.5):
+            hrx.quadrature.exp_sinh(integrand, lower, 0.0, 1e-12, "f")
+        assert calls == [(385,), (385,)]
 
     @pytest.mark.parametrize("k", range(9))
     def test_gamma_integrals(self, k):
         # int_0^inf z^k e^{-z} dz = k!, both steps to a few ulp
-        got = hrx.quadrature.exp_sinh(lambda z: z**k * math.exp(-z), 0.0,
+        got = hrx.quadrature.exp_sinh(lambda z: z**k * np.exp(-z), 0.0,
                                       0.0, 1e-14, "f")
         assert abs(got.value - math.factorial(k)) <= 4e-16 * math.factorial(k)
         assert got.abs_error_estimate <= 1e-14 * got.value
@@ -219,22 +236,40 @@ class TestExpSinh:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_value_raises(self, bad):
         def integrand(z):
-            return bad if z > 100.0 else math.exp(-z)
+            return np.where(z > 100.0, bad, np.exp(-z))
 
         with pytest.raises(QuadratureConvergenceError) as info:
             hrx.quadrature.exp_sinh(integrand, 0.0, 1.0, 1.0, "f")
         assert math.isnan(info.value.partial.abs_error_estimate)
+        assert info.value.partial.evaluations == 385
 
     def test_infinities_of_both_signs_raise(self):
         def integrand(z):
-            return math.copysign(math.inf, z - 200.0)
+            return np.copysign(math.inf, z - 200.0)
 
-        with pytest.raises(QuadratureConvergenceError):
+        with pytest.raises(QuadratureConvergenceError) as info:
             hrx.quadrature.exp_sinh(integrand, 0.0, 1.0, 1.0, "f")
+        assert info.value.partial.evaluations == 385
+
+    @pytest.mark.parametrize("integrand, got", [
+        (lambda z: 0.0, "got float"),
+        (lambda z: np.float64(0.0), "got float64"),
+        (lambda z: [0.0] * z.size, "got list"),
+        (lambda z: np.exp(-z[:-1]), "shape (384,)"),
+        (lambda z: np.exp(-z)[:, None], "shape (385, 1)"),
+        (lambda z: np.zeros(z.shape, dtype=np.int64), "int64 array"),
+        (lambda z: np.exp(-z).astype(np.float32), "float32 array"),
+    ])
+    def test_integrand_not_a_node_array_is_a_value_error(self, integrand, got):
+        # a scalar would broadcast and integrate a constant, silently
+        with pytest.raises(ValueError, match="f: the integrand must return"
+                           ) as info:
+            hrx.quadrature.exp_sinh(integrand, 0.0, 0.0, 1e-12, "f")
+        assert got in str(info.value)
 
     def test_missed_tolerance_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:
-            hrx.quadrature.exp_sinh(lambda z: math.exp(-z), 0.0, 0.0,
+            hrx.quadrature.exp_sinh(lambda z: np.exp(-z), 0.0, 0.0,
                                     1e-13, "f")
         partial = info.value.partial
         assert isinstance(partial, QuadratureResult)
@@ -263,6 +298,15 @@ class TestIkQuadrature:
         with pytest.raises(ValueError):
             I_k_quadrature(0, lam, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name, x, y", [("x", math.nan, 0.0),
+                                            ("y", 0.0, math.nan)])
+    def test_nan_point_is_a_value_error(self, name, x, y):
+        # as for the closed form it checks, not a numerical failure
+        with pytest.raises(ValueError, match="NaN"):
+            hrx.I_closed(1, 1.0, x, y)
+        with pytest.raises(ValueError, match=f"requires {name} that is not NaN"):
+            I_k_quadrature(1, 1.0, x, y)
+
 
 class TestVerifyIntegrals:
     """The 135 integrals of `hrx verify` against 40-digit mpmath, and
@@ -289,10 +333,19 @@ class TestVerifyIntegrals:
 
         hrx.cli._verify_identities()
         assert len(exp_sinh_calls) == 135
-        for integrand, lower, value in exp_sinh_calls:
-            want = quad(integrand, lower, math.inf, epsabs=0.0,
+        for call in exp_sinh_calls:
+            want = quad(call.scalar, call.lower, math.inf, epsabs=0.0,
                         epsrel=1e-12, limit=200)[0]
-            assert rel_err(value, want) <= 1e-10, lower
+            assert rel_err(call.value, want) <= 1e-10, call.lower
+
+    def test_sums_match_fsum(self, exp_sinh_calls):
+        # the rule's split sum equals math.fsum of every term, bit for
+        # bit, at both steps; most integrals leave terms to numpy's sum
+        hrx.cli._verify_identities()
+        assert len(exp_sinh_calls) == 135
+        assert [c.lower for c in exp_sinh_calls if not c.sums_match_fsum()] == []
+        sizes = [np.abs(call.terms()[0]) for call in exp_sinh_calls]
+        assert sum(np.any(s < 2.0**-60 * s.max()) for s in sizes) >= 100
 
 
 class TestMonteCarlo:

@@ -548,10 +548,19 @@ class TestLemma31TailApprox:
             for order in (ApproxOrder.SECOND, ApproxOrder.THIRD):
                 lemma31_tail_approx(n, rho, x, y, order)
         assert len(exp_sinh_calls) == 2 * len(LEMMA31_INTEGRALS)
-        for integrand, lower, value in exp_sinh_calls:
-            want = quad(integrand, lower, math.inf, epsabs=1e-13,
+        for call in exp_sinh_calls:
+            want = quad(call.scalar, call.lower, math.inf, epsabs=1e-13,
                         epsrel=1e-12, limit=200)[0]
-            assert abs(value - want) <= 1e-13
+            assert abs(call.value - want) <= 1e-13
+
+    def test_sums_match_fsum(self, exp_sinh_calls):
+        # the rule's split sum equals math.fsum of every term, bit for
+        # bit, at both steps, on all 160 tail integrals
+        for n, rho, x, y in LEMMA31_INTEGRALS:
+            for order in (ApproxOrder.SECOND, ApproxOrder.THIRD):
+                lemma31_tail_approx(n, rho, x, y, order)
+        assert len(exp_sinh_calls) == 2 * len(LEMMA31_INTEGRALS)
+        assert [c.lower for c in exp_sinh_calls if not c.sums_match_fsum()] == []
 
     def test_unconverged_integral_raises(self, unconverged_quad):
         with pytest.raises(QuadratureConvergenceError) as info:
