@@ -76,11 +76,6 @@ __all__ = [
 
 _Real = float | np.ndarray  # a term at one point, or over a grid
 
-# Finite lam this close to a boundary is evaluated by the corresponding
-# limit member: (y - x)/(2 lam) is no longer trustworthy beyond these.
-_LAM_ZERO_CUTOFF = 1e-6
-_LAM_INF_CUTOFF = 1e6
-
 
 class ApproxOrder(enum.Enum):
     """Truncation level of the 1/b_n^2 expansion."""
@@ -168,17 +163,6 @@ def gumbel_cdf(x: float) -> float:
     return math.exp(-_exp_neg(x))
 
 
-def _limit_lam(params: HRParams) -> float:
-    """The lam whose formulas evaluate params: a lam beyond a cutoff is
-    evaluated by the corresponding boundary member."""
-    lam = params.lam
-    if lam < _LAM_ZERO_CUTOFF:
-        return 0.0
-    if lam > _LAM_INF_CUTOFF:
-        return math.inf
-    return lam
-
-
 def _finite_hr(cdf_w: _Real, ex: _Real, cdf_v: _Real, ey: _Real) -> _Real:
     """H_lam from Phi(w), e^{-x}, Phi(2 lam - w) and e^{-y}.
 
@@ -194,12 +178,12 @@ def _finite_hr(cdf_w: _Real, ex: _Real, cdf_v: _Real, ey: _Real) -> _Real:
 
 def hr_cdf(params: HRParams, x: float, y: float) -> float:
     """Limit distribution H_lam(x, y), boundary members included."""
-    lam = _limit_lam(params)
+    lam = params.lam
     if lam == 0.0:
         return gumbel_cdf(min(x, y))
     if lam == math.inf:
         return gumbel_cdf(x) * gumbel_cdf(y)
-    half = (y - x) / (2.0 * lam)
+    half = (y - x) / lam / 2.0
     return _finite_hr(
         std_normal_cdf(lam + half), _exp_neg(x),
         std_normal_cdf(lam - half), _exp_neg(y),
@@ -244,13 +228,14 @@ def approximants(
 
 
 class _Point(NamedTuple):
-    """What the closed forms at (lam, x, y) share, computed once: e^{-v},
-    s(v), t(v) at v = x, y; Phi(w), Phi(2 lam - w), Phi-bar(w) and phi(w)
-    at w = lam + (y-x)/(2 lam); lam^2..lam^8."""
+    """What the closed forms at (lam, x, y) share, computed once: the
+    half-step h = (y-x)/(2 lam); e^{-v}, s(v), t(v) at v = x, y; Phi(w),
+    Phi(2 lam - w), Phi-bar(w) and phi(w) at w = lam + h; lam^2..lam^8."""
 
     lam: float
     x: _Real
     y: _Real
+    half: _Real
     ex: _Real
     sx: _Real
     tx: _Real
@@ -279,9 +264,10 @@ def _powers(lam: float) -> tuple[float, float, float, float, float, float, float
 
 
 def _point(lam: float, x: float, y: float) -> _Point:
-    return _Point(lam, x, y, _exp_neg(x), _s_term(x), _t_term(x), _exp_neg(y),
-                  _s_term(y), _t_term(y),
-                  *_normal_terms(lam, (y - x) / (2.0 * lam)), _powers(lam))
+    half = (y - x) / lam / 2.0
+    return _Point(lam, x, y, half, _exp_neg(x), _s_term(x), _t_term(x),
+                  _exp_neg(y), _s_term(y), _t_term(y),
+                  *_normal_terms(lam, half), _powers(lam))
 
 
 def _kappa(alpha: float, p: _Point) -> _Real:
@@ -295,7 +281,7 @@ def _kappa(alpha: float, p: _Point) -> _Real:
 
 
 def _tau1(alpha: float, beta: float, p: _Point) -> _Real:
-    lam, x, y, ex = p.lam, p.x, p.y, p.ex
+    lam, x, y, h, ex = p.lam, p.x, p.y, p.half, p.ex
     l2, l3, l4, l5, l6, l7, l8 = p.powers
     a2 = alpha * alpha
     c_pb = (
@@ -314,7 +300,8 @@ def _tau1(alpha: float, beta: float, p: _Point) -> _Real:
         - 3.0 / 8.0 * l3 * x * y
         - alpha * l2 * x
         + alpha / 4.0 * (y - x) * (3.0 * y + x)
-        - a2 / (4.0 * l3) * (x - y) * (x - y)
+        # alpha^2 (x-y)^2 / (4 lam^3): lam^3 underflows below lam ~ 1e-108
+        - a2 * h * h / lam
         - alpha * l2 * y
         - 7.0 / 4.0 * l7
         + 7.0 / 2.0 * l5 * x
@@ -524,7 +511,7 @@ def hr_expansion(params: HRParams, x: float, y: float) -> tuple[float, float, fl
     """(H, c1, c2) at (x, y), with c1 = kappa and c2 = tau + kappa^2/2:
     the n-free terms of H (1 + c1/b_n^2 + c2/b_n^4).  Every quantity the
     closed forms share is evaluated once."""
-    lam = _limit_lam(params)
+    lam = params.lam
     if lam == 0.0:
         # the univariate terms s and t + s^2/2 at min(x, y)
         v = min(x, y)
@@ -552,7 +539,7 @@ def hr_expansion_grid(
     once per distinct grid value, the normal functions once per distinct
     (y-x)/(2 lam), and each closed form once over the arrays."""
     xy = np.asarray(points, dtype=float).reshape(-1, 2)
-    lam = _limit_lam(params)
+    lam = params.lam
     if lam in (0.0, math.inf) or not len(xy):
         terms = [hr_expansion(params, x, y) for x, y in xy.tolist()]
         return tuple(np.array(terms).reshape(-1, 3).T)
@@ -561,9 +548,10 @@ def hr_expansion_grid(
         by_value = _per_distinct(
             lambda v: (_exp_neg(v), _s_term(v), _t_term(v)), xy.ravel())
         (ex, ey), (sx, sy), (tx, ty) = (c.reshape(-1, 2).T for c in by_value)
-        half = (y - x) / (2.0 * lam)
+        half = (y - x) / lam / 2.0
         normal = _per_distinct(lambda v: _normal_terms(lam, v), half)
-        p = _Point(lam, x, y, ex, sx, tx, ey, sy, ty, *normal, _powers(lam))
+        p = _Point(lam, x, y, half, ex, sx, tx, ey, sy, ty, *normal,
+                   _powers(lam))
         return _terms(params, p)
 
 

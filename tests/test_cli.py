@@ -92,7 +92,7 @@ RECORD_STUDIES = [
     hrx.ThirdOrderHR(1.0, 2.0, 5.0),
     hrx.ConstantRho(0.5),
     hrx.CorollaryZero(2.0),
-    # finite lam beyond the cutoffs takes the boundary members' formulas
+    # finite lam near each boundary member, evaluated by the finite formulas
     hrx.ThirdOrderHR(1e-7),
     hrx.ThirdOrderHR(2e6),
 ]
@@ -622,6 +622,28 @@ class TestMain:
         assert err.startswith("error: --n values must be integers")
         assert "'1e3'" in err
         assert not out.exists()
+
+    def test_small_lambda_row_keeps_alpha(self, tmp_path, capsys):
+        # lam below 1e-6 was evaluated by the lam = 0 member, which drops
+        # alpha: approx2 = approx3 = approx1, and err2 read 0.0260
+        rows = {}
+        for lam in ("1e-7", "2e-6"):
+            out = tmp_path / f"{lam}.csv"
+            assert main([*THIRD_ORDER_TABLE[:3], "--lambda", lam, "--alpha",
+                         "-2", "--beta", "0", "--n", "6:6:1", "--grid", "0,0",
+                         "--out", str(out)]) == 0
+            (rows[lam],) = read_records(str(out))
+        assert rows["1e-7"].approx[0] != rows["1e-7"].approx[1]
+        for record in rows.values():
+            assert 6e-5 <= record.err[1] <= 7e-5
+        # lam = 1e-300: lam^3 underflows, yet the second order moves
+        out = tmp_path / "tiny.csv"
+        assert main([*THIRD_ORDER_TABLE[:3], "--lambda", "1e-300", "--alpha",
+                     "2", "--beta", "5", "--n", "6:6:1", "--grid", "0,0",
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (record,) = read_records(str(out))
+        assert record.approx[1] != record.approx[0]
 
     def test_corollary_zero_row_near_rho_one(self, tmp_path, capsys):
         # rho_n = 1 - 3.8e-8 at n = 1e6: the direct tail pass certified a

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 
 import pytest
@@ -178,14 +179,18 @@ class TestHrCdf:
             gap = abs(hr_cdf(p, x, y) - hr_cdf(HRParams.infinity(), x, y))
             assert gap <= 1e-8
 
-    def test_cutoff_routing(self):
-        # lambda beyond the numeric cutoffs routes to the degenerate forms
-        assert hr_cdf(HRParams.finite(1e-7), 0.3, 1.1) == hr_cdf(
-            HRParams.zero(), 0.3, 1.1
-        )
-        assert hr_cdf(HRParams.finite(2e6), 0.3, 1.1) == hr_cdf(
-            HRParams.infinity(), 0.3, 1.1
-        )
+    def test_extreme_lambda_takes_the_finite_formula(self):
+        # every finite lambda is its own member: on the diagonal
+        # H_lam(x, x) = exp(-2 Phi(lam) e^{-x}), within O(lam) of H_0 and
+        # O(1/lam) of H_inf, and equal to neither
+        for lam, boundary in ((1e-7, HRParams.zero()),
+                              (2e6, HRParams.infinity())):
+            for x in (-1.0, 0.0, 0.5):
+                got = hr_cdf(HRParams.finite(lam), x, x)
+                want = math.exp(-2.0 * hrx.std_normal_cdf(lam) * math.exp(-x))
+                assert math.isclose(got, want, rel_tol=1e-15)
+                assert abs(got - hr_cdf(boundary, x, x)) <= min(lam, 1.0 / lam)
+        assert hr_cdf(HRParams.finite(1e-7), 0.0, 0.0) != gumbel_cdf(0.0)
 
     def test_monotone_in_lambda(self):
         # dependence weakens as lambda grows
@@ -443,16 +448,56 @@ class TestHrExpansion:
         for x, y in self.POINTS:
             m = min(x, y)
             sm = s_term(m)
-            for p in (HRParams.zero(), HRParams.finite(1e-7)):
-                assert hr_expansion(p, x, y) == (
-                    gumbel_cdf(m), sm, t_term(m) + 0.5 * sm * sm,
-                )
+            zero = (gumbel_cdf(m), sm, t_term(m) + 0.5 * sm * sm)
+            assert hr_expansion(HRParams.zero(), x, y) == zero
             ssum = s_term(x) + s_term(y)
-            for p in (HRParams.infinity(), HRParams.finite(2e6)):
-                assert hr_expansion(p, x, y) == (
-                    gumbel_cdf(x) * gumbel_cdf(y), ssum,
-                    t_term(x) + t_term(y) + 0.5 * ssum * ssum,
-                )
+            infinity = (gumbel_cdf(x) * gumbel_cdf(y), ssum,
+                        t_term(x) + t_term(y) + 0.5 * ssum * ssum)
+            assert hr_expansion(HRParams.infinity(), x, y) == infinity
+            # a finite lam near a boundary takes the finite formulas,
+            # within O(lam) of the lam = 0 terms (6.7 lam at most here)
+            # and O(1/lam) of the lam = inf terms
+            for lam, want, gap in ((1e-7, zero, 10.0 * 1e-7),
+                                   (2e6, infinity, 1.0 / 2e6)):
+                got = hr_expansion(HRParams.finite(lam), x, y)
+                assert all(abs(g - w) <= gap for g, w in zip(got, want))
+
+    def test_small_lambda_keeps_alpha(self):
+        # on the diagonal kappa -> 2 alpha phi(0) as lam -> 0+, which no
+        # lam = 0 term carries; 40 digits of (2 alpha - lam (lam^2 + 2))
+        # phi(lam) at lam = 1e-7, alpha = -2
+        c1 = hr_expansion(HRParams.finite(1e-7, -2.0, 0.0), 0.0, 0.0)[1]
+        assert math.isclose(c1, -1.5957692013941788, rel_tol=1e-12)
+
+    def test_small_lambda_kappa_tracks_exact_law(self):
+        # b^2 (F - H)/H -> kappa along ThirdOrderHR(1e-7, -2, 0) at
+        # x = y = 0: the exact law reads -1.5997, -1.6003, -1.5996, and
+        # kappa -1.5958 (the lam = 0 member's s(0) = 0 missed by 1.6)
+        spec = hrx.ThirdOrderHR(1e-7, -2.0, 0.0)
+        h, c1, _ = hr_expansion(spec.params, 0.0, 0.0)
+        for n in (10**6, 10**10, 10**14):
+            row = hrx.make_row(spec, n)
+            assert not row.clipped
+            exact = hrx.exact_joint_max_cdf(n, row.rho, 0.0, 0.0)
+            assert abs(row.b.b_squared * (exact - h) / h - c1) <= 0.01
+
+    @pytest.mark.parametrize("lam", [1e-300, 5e-324])
+    def test_tau_at_tiny_lambda(self, lam):
+        # tau1's alpha^2 (x-y)^2 / (4 lam^3), with lam^3 = 0 below
+        # lam ~ 1e-108, raised ZeroDivisionError: a finite value or a
+        # ValueError is allowed, nothing else
+        for alpha, beta in ((0.0, 0.0), (-2.0, 0.0), (2.0, 5.0)):
+            for x, y in ((0.0, 0.0), (0.3, 1.1), (1.1, 0.3)):
+                for call in (lambda: tau1(alpha, beta, lam, x, y),
+                             lambda: tau(alpha, beta, lam, x, y)):
+                    try:
+                        value = call()
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value)
+        # on the diagonal only 2 beta phi(0) e^{-x} survives in tau1
+        assert math.isclose(tau1(2.0, 5.0, lam, 0.0, 0.0),
+                            10.0 * hrx.std_normal_pdf(0.0), rel_tol=1e-15)
 
     def test_approximants_are_hr_approx(self):
         p = HRParams.finite(1.0, 2.0, 5.0)
@@ -480,10 +525,10 @@ class TestHrExpansion:
         assert math.isfinite(c1) and math.isfinite(c2)
 
 
-# lam at both boundaries, around both cutoffs, and in the interior
+# lam at both boundaries, at both ends of the double range, where lam^3
+# underflows (1e-103), and in the interior
 GRID_LAMS = st.one_of(
-    st.sampled_from([0.0, math.inf, 1e-7, 9.99e-7, 1e-6, 1.01e-6,
-                     9.9e5, 1e6, 1.01e6, 1e7]),
+    st.sampled_from([0.0, math.inf, 5e-324, 1e-300, 1e-103, 1e300, 1.7e308]),
     st.floats(0.05, 7.0),
 )
 # a few values repeat across a grid; the special ones sit where e^{-v}
@@ -545,6 +590,68 @@ class TestHrExpansionGrid:
                        gumbel_cdf(x),
                        univariate_gumbel_approx(1000, x, ApproxOrder.THIRD)]
         assert {type(v) for v in values} == {float}
+
+
+# lam over the whole double range: both ends, where lam^3 underflows
+# (1e-108) or lam^2 overflows (1e154), and the interior
+MP_LAMS = [5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-108, 1e-103, 1e-50,
+           1e-20, 1e-10, 1e-7, 1e-6, 1e-4, 1e-2, 0.5, 1.0, 2.0, 10.0, 1e3,
+           1e6, 1e7, 1e10, 1e20, 1e50, 1e103, 1e154, 1e155, 1e200, 1e300,
+           1.7e308]
+MP_POINTS = [(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (4.0, 4.0), (0.3, 1.1),
+             (1.1, 0.3), (-2.0, 3.0), (3.0, -2.0), (-1.0, 0.5)]
+
+
+class TestFiniteLamAgainstMpmath:
+    """`hr_expansion` and `hr_expansion_grid` against the shipped kernels
+    run on 60-digit mpmath points: the same closed forms, without
+    rounding.  Measured worst error 4.5e-15 max(1, |value|), at lam = 2;
+    5.1e-16 outside [1, 2]."""
+
+    @staticmethod
+    def reference(monkeypatch, params, x, y):
+        """(H, c1, c2) from `_kappa` and `_tau` on a 60-digit `_Point`.
+        Past |w| = 1e4 Phi and phi are 0 or 1 in double precision, and
+        mpmath's erfc overflows near w = 1e323."""
+        import mpmath
+
+        def ncdf(w):
+            return mpmath.mpf(w > 0) if abs(w) > 1e4 else mpmath.ncdf(w)
+
+        def npdf(w):
+            return mpmath.mpf(0) if abs(w) > 1e4 else mpmath.npdf(w)
+
+        with monkeypatch.context() as m, mpmath.workdps(60):
+            m.setattr(hrx.hr_core, "_exp_neg", lambda v: mpmath.exp(-v))
+            m.setattr(hrx.hr_core, "std_normal_cdf", ncdf)
+            m.setattr(hrx.hr_core, "std_normal_pdf", npdf)
+            m.setattr(hrx.hr_core, "std_normal_survival", lambda w: ncdf(-w))
+            p = hrx.hr_core._point(*map(mpmath.mpf, (params.lam, x, y)))
+            c1 = hrx.hr_core._kappa(params.alpha, p)
+            c2 = hrx.hr_core._tau(params.alpha, params.beta, p) + c1 * c1 / 2
+            return mpmath.exp(-p.cdf_w * p.ex - p.cdf_v * p.ey), c1, c2
+
+    @pytest.mark.parametrize("lam", MP_LAMS)
+    def test_double_path_matches(self, monkeypatch, lam):
+        points = list(MP_POINTS)
+        if lam < 1e-6:
+            # (y-x)/(2 lam) of order one, where alpha^2 (x-y)^2/(4 lam^3)
+            # is as large as 1/lam
+            points += [(x, x + 2.0 * lam * c)
+                       for x in (0.0, -1.5) for c in (0.5, -1.0, 3.0)]
+        for alpha, beta in ((0.0, 0.0), (-2.0, 0.0), (2.0, 5.0)):
+            params = HRParams.finite(lam, alpha, beta)
+            grid = hr_expansion_grid(params, points)
+            for i, (x, y) in enumerate(points):
+                want = self.reference(monkeypatch, params, x, y)
+                got = hr_expansion(params, x, y)
+                for g, gg, w in zip(got, (a[i] for a in grid), want):
+                    assert same_double(float(gg), g)
+                    if abs(w) > sys.float_info.max:
+                        # the value itself is beyond the double range
+                        assert g == math.copysign(math.inf, w)
+                    else:
+                        assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (x, y)
 
 
 def closed_forms(alpha: float, beta: float, lam: float, x: float, y: float):
@@ -632,11 +739,16 @@ class TestHrApprox:
             want = math.exp(-2.0 * hrx.std_normal_cdf(lam))
             assert math.isclose(got, want, rel_tol=1e-14)
 
-    def test_cutoff_routing(self):
-        got = hr_approx(10**4, HRParams.finite(1e-7), 0.3, 1.1,
-                        ApproxOrder.THIRD)
-        want = hr_approx(10**4, HRParams.zero(), 0.3, 1.1, ApproxOrder.THIRD)
-        assert got == want
+    def test_small_lambda_approximant_keeps_alpha(self):
+        # H (1 + kappa/b^2) with kappa = -1.5957692013941788 (40 digits)
+        # at lam = 1e-7, alpha = -2; the lam = 0 member's kappa is 0
+        n = 10**4
+        b2 = hrx.solve_bn(n).b_squared
+        p = HRParams.finite(1e-7, -2.0, 0.0)
+        h = hr_approx(n, p, 0.0, 0.0, ApproxOrder.FIRST)
+        got = hr_approx(n, p, 0.0, 0.0, ApproxOrder.SECOND)
+        assert math.isclose(got, h * (1.0 - 1.5957692013941788 / b2),
+                            rel_tol=1e-14)
 
     @given(
         st.sampled_from([3, 10, 100]),

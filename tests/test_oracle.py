@@ -288,6 +288,18 @@ class TestIkQuadrature:
         for k in range(4):
             assert abs(I_k_quadrature(k, 1.0, 0.0, 60.0)) <= 1e-12
 
+    @pytest.mark.parametrize("lam, x, y", [
+        (1.0, 0.0, -800.0), (1.0, -2.0, -30.0), (0.3, 1.0, -30.0),
+        (5.0, 3.0, -160.0), (12.0, 300.0, -200.0),
+    ])
+    def test_lower_limit_far_below_the_peak(self, lam, x, y):
+        # the integrand peaks at x - 2 lam^2, more than 8 widths 2 lam
+        # above y; from y the rule's nodes missed it, and e^{-z} times a
+        # vanished density gave 0 * inf = NaN below z = -709.78
+        for k in range(4):
+            want = hrx.I_closed(k, lam, x, y)
+            assert rel_err(I_k_quadrature(k, lam, x, y), want) <= 1e-9
+
     @pytest.mark.parametrize("k", [-1, 4])
     def test_k_domain(self, k):
         with pytest.raises(ValueError):
