@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -178,24 +179,46 @@ _CSV_HEADER = [
     "clipped",
 ]
 
-# printf formats of the two CSV line shapes: n, b_n, rho_n, x, y, then
-# the 10 value cells at 17 significant digits (blank for a skipped
-# point), then clipped
-_EVALUATED_LINE = "%s," + ",".join(["%.17g"] * 14) + ",%s\n"
-_SKIPPED_LINE = "%s," + ",".join(["%.17g"] * 4) + "," * 11 + "%s\n"
-
-
-def _record_line(r: ConvergenceRecord) -> str:
-    clipped = "true" if r.clipped else "false"
-    if r.skipped:
-        return _SKIPPED_LINE % (r.n, r.b, r.rho, r.x, r.y, clipped)
-    return _EVALUATED_LINE % (r.n, r.b, r.rho, r.x, r.y, r.exact,
-                              *r.approx, *r.err, *r.scaled, clipped)
+# printf formats of a line from its formatted "n,b_n,rho_n," head, x and
+# y cells and ",clipped\n" tail: the 10 value cells between y and the
+# tail at 17 significant digits, or blank for a skipped point
+_LINE = "%s%s,%s," + ",".join(["%.17g"] * 10) + "%s"
+_BLANK_LINE = "%s%s,%s" + "," * 10 + "%s"
 
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
-    """Fixed-header CSV, 17 significant digits, byte-stable."""
-    text = "".join([",".join(_CSV_HEADER) + "\n", *map(_record_line, records)])
+    """Fixed-header CSV, 17 significant digits, byte-stable.
+
+    A cell shared by many lines is formatted once: the n, b_n, rho_n
+    head and the clipped tail while a record carries the same objects as
+    the one before (records arrive n-major), and each nonzero x or y
+    value through a memo.  Zeros skip the memo, which would merge 0.0
+    and -0.0."""
+    lines = [",".join(_CSV_HEADER) + "\n"]
+    cells: dict[float, str] = {}
+    row = None
+    for n, b, rho, x, y, exact, approx, err, scaled, clipped in records:
+        if row is None or not (n is row[0] and b is row[1] and rho is row[2]
+                               and clipped is row[3]):
+            row = n, b, rho, clipped
+            head = "%s,%.17g,%.17g," % (n, b, rho)
+            tail = ",true\n" if clipped else ",false\n"
+        x_cell = cells.get(x)
+        if x_cell is None:
+            x_cell = "%.17g" % x
+            if x:
+                cells[x] = x_cell
+        y_cell = cells.get(y)
+        if y_cell is None:
+            y_cell = "%.17g" % y
+            if y:
+                cells[y] = y_cell
+        if exact is None:
+            lines.append(_BLANK_LINE % (head, x_cell, y_cell, tail))
+        else:
+            lines.append(_LINE % (head, x_cell, y_cell, exact,
+                                  *approx, *err, *scaled, tail))
+    text = "".join(lines)
     if path == "-":
         sys.stdout.write(text)
         return
@@ -462,6 +485,11 @@ def _verify_oracle(seed: int) -> list[tuple[str, bool, str]]:
 
 # -- entry point ----------------------------------------------------------
 
+# Built on the first `main` call and reused by every later one in the
+# process: parsing keeps no state in the parser, each call gets a fresh
+# namespace, and help and errors go to the sys.stdout and sys.stderr of
+# the moment.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrx",
@@ -506,7 +534,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for key, value in vars(args).items():
         if key not in ("command", "config", "run") and value is not None:
             options[key] = value
-    records = run_study(build_study_config(options))
+    config = build_study_config(options)
+    records = run_study(config)
     out = options.get("out", "-")
     write_records(records, out)
     if out != "-":
@@ -515,6 +544,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"wrote {len(records)} records ({emitted} evaluated) to {out}",
             file=sys.stderr,
         )
+    spec = config.spec
+    if isinstance(spec, ThirdOrderHR):
+        # every row has one record per grid point, the first carrying b_n
+        negative = [str(r.n) for r in records[::len(config.grid)]
+                    if spec.lam_n(r.b * r.b) < 0.0]
+        if negative:
+            print(f"warning: lambda - alpha/b_n^2 - beta/b_n^4 is negative at "
+                  f"n = {', '.join(negative)}; rho_n there is the one "
+                  f"|lambda_n| gives", file=sys.stderr)
     return 0
 
 

@@ -63,22 +63,36 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
             raise ValueError(f"I_k_quadrature requires {name} that is not "
                              f"NaN, got {value}")
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return (std_normal_pdf_array(lam + (x - z) / (2.0 * lam)) * np.exp(-z)
-                * z**k)
-
     # The integrand is also e^{-x} phi(lam - (x-z)/(2 lam)) z^k, a normal
-    # density in z of width 2 lam peaking at x - 2 lam^2.  The rule's nodes
-    # crowd at its lower limit, and miss a peak more than 8 widths above
-    # it: such a y takes the whole line, from the peak both ways, leaving
-    # out a mass of Phi(-8) = 6e-16 below y.  The 402 that the nodes reach
-    # past the peak must span 10 widths.
+    # density in z of width 2 lam peaking at x - 2 lam^2; that form takes
+    # the nodes where e^{-z} overflows.
+    def integrand(z: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = np.exp(-z)
+            values = (std_normal_pdf_array(lam + (x - z) / (2.0 * lam))
+                      * growth * z**k)
+            far = np.isinf(growth)
+            if far.any():
+                z = z[far]
+                values[far] = (std_normal_pdf_array(lam - (x - z) / (2.0 * lam))
+                               * np.exp(-x) * z**k)
+        return values
+
+    # The rule's nodes crowd at its lower limit and miss a narrow peak a
+    # few widths above it.  A y more than 4 widths below the peak takes
+    # the whole line, from the peak both ways, less the half-line below
+    # y: each of the three integrands peaks at its lower limit.  The 402
+    # that the nodes reach past the peak must span 10 widths.
     peak = x - 2.0 * lam * lam
-    if y < peak - 16.0 * lam and lam <= 20.0 and math.isfinite(peak):
-        return (quad_semi_infinite(integrand, peak, 1e-10).value
-                + quad_semi_infinite(lambda v: integrand(2.0 * peak - v),
-                                     peak, 1e-10).value)
-    return quad_semi_infinite(integrand, y, 1e-10).value
+    if not (y < peak - 8.0 * lam and lam <= 20.0 and math.isfinite(peak)):
+        return quad_semi_infinite(integrand, y, 1e-10).value
+    whole = (quad_semi_infinite(integrand, peak, 1e-10).value
+             + quad_semi_infinite(lambda v: integrand(2.0 * peak - v),
+                                  peak, 1e-10).value)
+    if y == -math.inf:
+        return whole
+    return whole - quad_semi_infinite(lambda v: integrand(2.0 * y - v),
+                                      y, 1e-10).value
 
 
 # Normals per chunk and per Z2 block; the chunk size fixes which doubles

@@ -90,6 +90,11 @@ class ThirdOrderHR:
     def params(self) -> HRParams:
         return HRParams.finite(self.lam, self.alpha, self.beta)
 
+    def lam_n(self, b2: float) -> float:
+        """lam - alpha/b2 - beta/b2^2 at b2 = b_n^2.  rho_n depends on its
+        square alone, so a row where it is negative realises |lam_n|."""
+        return self.lam - self.alpha / b2 - self.beta / (b2 * b2)
+
 
 @dataclass(frozen=True)
 class CorollaryInfinity:
@@ -158,7 +163,7 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     if isinstance(spec, ConstantRho):
         raw = spec.rho
     elif isinstance(spec, ThirdOrderHR):
-        lam_exact = spec.lam - spec.alpha / b2 - spec.beta / (b2 * b2)
+        lam_exact = spec.lam_n(b2)
         raw = 1.0 - 2.0 * lam_exact * lam_exact / b2
     elif isinstance(spec, CorollaryInfinity):
         ln_n = math.log(n)

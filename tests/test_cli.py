@@ -76,6 +76,33 @@ def synthetic_record(n, b, x, y, err1, err2=None):
     )
 
 
+# The per-line writer `write_records` had before it formatted shared
+# cells once: all 14 numeric cells of a line in one printf format.  It is
+# the oracle for the bytes of every line.
+ORACLE_EVALUATED_LINE = "%s," + ",".join(["%.17g"] * 14) + ",%s\n"
+ORACLE_SKIPPED_LINE = "%s," + ",".join(["%.17g"] * 4) + "," * 11 + "%s\n"
+
+
+def oracle_csv(records):
+    lines = [",".join(_CSV_HEADER) + "\n"]
+    for r in records:
+        clipped = "true" if r.clipped else "false"
+        if r.skipped:
+            lines.append(ORACLE_SKIPPED_LINE
+                         % (r.n, r.b, r.rho, r.x, r.y, clipped))
+        else:
+            lines.append(ORACLE_EVALUATED_LINE
+                         % (r.n, r.b, r.rho, r.x, r.y, r.exact, *r.approx,
+                            *r.err, *r.scaled, clipped))
+    return "".join(lines)
+
+
+def written(records, tmp_path):
+    path = tmp_path / "written.csv"
+    write_records(records, str(path))
+    return path.read_text(encoding="utf-8")
+
+
 FROZEN_STUDY_CSV = """\
 n,b_n,rho_n,x,y,exact,approx1,approx2,approx3,err1,err2,err3,scaled1,scaled2,scaled3,clipped
 10,1.2815515655446004,-1,1,1,0.67024390360825725,0.53846818224224957,0.81371424839338258,0.96920438012014087,0.13177572136600768,0.14347034478512533,0.29896047651188362,0.216425073309442,0.38699600696344899,1.3244339051267866,true
@@ -275,6 +302,19 @@ class TestCsvRoundTrip:
             "c83544d371b3bc1a799c2f21c3de84a3e12e68a1c73dec8d7e4c0203dcfdecfb"
         )
 
+    @pytest.mark.parametrize("name, digest", [
+        ("tail", "e168abf8ae7568a234e8e51c5997811ae8823a2027746016a49e8155ef33bc6f"),
+        ("bulk", "bd2eb4fbd7d97dd2079e369b20cea8c3fc4416d5d22bff04587ec052828e9aad"),
+    ])
+    def test_frozen_reference_study_bytes(self, tmp_path, capsys, name, digest):
+        # the two full reference studies, byte for byte; the benchmark's
+        # reference files hold them only within tolerance
+        path = tmp_path / "study.csv"
+        assert main([*THIRD_ORDER_TABLE, *REFERENCE_STUDIES[name],
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_header_guard(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("not,a,study\n1,2,3\n")
@@ -284,6 +324,61 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_records(str(tmp_path / "absent.csv"))
+
+
+class TestWriteRecords:
+    """The writer formats a cell shared by many lines once; every line
+    must still be the per-line oracle's."""
+
+    def test_study_matches_per_line_oracle(self, tmp_path):
+        # several rows, a clipped one, skipped points, and grid values
+        # repeated across points, among them both zeros
+        grid = ((1.0, 1.0), (1.0, -2.0), (-2.0, 1.0), (-700.0, -700.0),
+                (0.1, 0.1), (0.0, -0.0), (-0.0, 0.0), (-700.0, 1.0))
+        for spec in RECORD_STUDIES:
+            records = run_study(StudyConfig(spec, (10, 10**3, 10**5), grid))
+            assert any(r.skipped for r in records)
+            assert written(records, tmp_path) == oracle_csv(records)
+
+    def test_signed_zeros_stay_apart(self, capsys):
+        argv = ["table", "--spec", "constant", "--rho", "-0", "--n", "2:2:1",
+                "--grid", "0,-0;-0,0;0,0", "--out", "-"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        config = build_study_config({"spec": "constant", "rho": "-0",
+                                     "n": "2:2:1", "grid": "0,-0;-0,0;0,0"})
+        assert text == oracle_csv(run_study(config))
+        heads = [line.split(",")[:5] for line in text.splitlines()[1:]]
+        assert heads == [["100", "2.3263478740408412", "-0", "0", "-0"],
+                         ["100", "2.3263478740408412", "-0", "-0", "0"],
+                         ["100", "2.3263478740408412", "-0", "0", "0"]]
+
+    def test_hand_built_records(self, tmp_path):
+        # one n with b, rho or clipped changing between records, rho
+        # flipping between 0.0 and -0.0, equal values held by distinct
+        # objects, and a skipped record between evaluated ones
+        def record(b, rho, x, y, clipped=False, skipped=False):
+            if skipped:
+                return ConvergenceRecord(100, b, rho, x, y, None, (None,) * 3,
+                                         (None,) * 3, (None,) * 3, clipped)
+            return ConvergenceRecord(100, b, rho, x, y, 0.25, (0.5, 0.1, -0.0),
+                                     (1e-300, 2.5e-17, 0.0),
+                                     (3.0, 1 / 3, 7e22), clipped)
+
+        records = [
+            record(2.0, 0.5, 0.1, 0.1),
+            record(2.0, 0.5, float("0.1"), -0.1),
+            record(2.5, 0.5, 0.1, 0.1),
+            record(2.5, 0.25, 0.1, 0.1),
+            record(2.5, 0.0, 0.0, -0.0),
+            record(2.5, -0.0, -0.0, 0.0),
+            record(2.5, 0.0, 0.0, 0.0, skipped=True),
+            record(2.5, 0.0, 0.0, 0.0, clipped=True),
+            record(float("2.5"), 0.0, 1e-300, 1.5e300),
+        ]
+        assert written(records, tmp_path) == oracle_csv(records)
+        assert written(iter(records), tmp_path) == oracle_csv(records)
+        assert written([], tmp_path) == oracle_csv([])
 
 
 class TestFitRate:
@@ -542,6 +637,79 @@ class TestMain:
         capsys.readouterr()
         assert main(argv) == 1
         assert "requires 'rho'" in capsys.readouterr().err
+
+    def test_parser_built_once(self, capsys):
+        assert _build_parser() is _build_parser()
+        misses = _build_parser.cache_info().misses
+        assert main(["table", "--spec", "constant", "--rho", "0.5",
+                     "--n", "100", "--grid", "0,0"]) == 0
+        assert main(["verify", "--help"]) == 0
+        capsys.readouterr()
+        assert _build_parser.cache_info().misses == misses
+
+    def test_optional_flag_does_not_reach_the_next_call(self, capsys):
+        # a default alpha of 0 after a call that set it
+        argv = [*THIRD_ORDER_TABLE[:5], "--n", "1000", "--grid", "0,0;1,1",
+                "--out", "-"]
+        assert main(argv[:5] + ["--alpha", "2"] + argv[5:]) == 0
+        with_alpha = capsys.readouterr().out
+        assert main(argv) == 0
+        without = capsys.readouterr().out
+        config = StudyConfig(hrx.ThirdOrderHR(1.0), (1000,),
+                             ((0.0, 0.0), (1.0, 1.0)))
+        assert without == oracle_csv(run_study(config))
+        assert without != with_alpha
+
+    def test_parse_error_then_good_call(self, capsys):
+        argv = ["table", "--spec", "constant", "--rho", "0.5", "--n", "100",
+                "--grid", "0,0", "--out", "-"]
+        assert main(argv + ["--bogus", "1"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        config = StudyConfig(hrx.ConstantRho(0.5), (100,), ((0.0, 0.0),))
+        assert captured.out == oracle_csv(run_study(config))
+
+    def test_help_goes_to_the_current_stdout(self):
+        # the parser outlives a redirection; each call writes where
+        # sys.stdout points at the time
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(["verify", "--help"]) == 0
+            assert out.getvalue().startswith("usage: hrx verify")
+            assert "--seed" in out.getvalue()
+            assert err.getvalue() == ""
+
+    def test_negative_lambda_n_rows_are_named(self, tmp_path, capsys):
+        # lam - alpha/b^2 - beta/b^4 is -2.07 at n = 10 (a clipped row) and
+        # -0.564 at n = 18, where rho_n is that of +0.564 and clipped is
+        # false; one stderr line names both rows, and the CSV is unchanged
+        out = tmp_path / "study.csv"
+        assert main([*THIRD_ORDER_TABLE, "--n", "1:1.5:0.25", "--grid",
+                     "0,0;-3,1", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "wrote 6 records (6 evaluated) to " + str(out),
+            "warning: lambda - alpha/b_n^2 - beta/b_n^4 is negative at "
+            "n = 10, 18; rho_n there is the one |lambda_n| gives",
+        ]
+        records = read_records(str(out))
+        assert [(r.n, r.clipped) for r in records[::2]] == [
+            (10, True), (18, False), (32, False)]
+        config = StudyConfig(hrx.ThirdOrderHR(1.0, 2.0, 5.0), (10, 18, 32),
+                             ((0.0, 0.0), (-3.0, 1.0)))
+        assert out.read_text(encoding="utf-8") == oracle_csv(run_study(config))
+
+    @pytest.mark.parametrize("alpha, named", [("2", True), ("-2", False)])
+    def test_tiny_lambda_sign_of_alpha(self, capsys, alpha, named):
+        assert main([*THIRD_ORDER_TABLE[:3], "--lambda", "1e-300", "--alpha",
+                     alpha, "--beta", "5", "--n", "6:6:1", "--grid", "0,0",
+                     "--out", "-"]) == 0
+        err = capsys.readouterr().err
+        assert ("negative at n = 1000000;" in err) is named
+        assert err.count("\n") == named
 
     def test_table_rejects_seed(self, tmp_path, capsys):
         # table never used a seed; a config file's seed key is still

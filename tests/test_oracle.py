@@ -300,6 +300,24 @@ class TestIkQuadrature:
             want = hrx.I_closed(k, lam, x, y)
             assert rel_err(I_k_quadrature(k, lam, x, y), want) <= 1e-9
 
+    @pytest.mark.parametrize("lam, x, y", [
+        (0.05, 0.0, -0.795), (0.05, 1.0, 0.2), (0.03, 0.0, -0.3),
+        (20.0, 0.0, -1300.0), (20.0, 5.0, -900.0),
+    ])
+    def test_narrow_peak_or_overflowing_exponential(self, lam, x, y):
+        # a narrow peak 4 to 8 widths above y, which the rule from y missed
+        # and the whole line left no room for, or nodes past z = -709.78,
+        # where e^{-z} overflows: each raised QuadratureConvergenceError
+        for k in range(4):
+            want = hrx.I_closed(k, lam, x, y)
+            assert rel_err(I_k_quadrature(k, lam, x, y), want) <= 1e-9
+
+    def test_infinite_lower_limit_is_the_whole_line(self):
+        # I_0 over the whole line is 2 lam e^{-x}
+        assert I_k_quadrature(0, 1.0, 0.0, -math.inf) == pytest.approx(2.0, rel=1e-14)
+        assert I_k_quadrature(0, 0.5, 1.0, -math.inf) == pytest.approx(
+            math.exp(-1.0), rel=1e-14)
+
     @pytest.mark.parametrize("k", [-1, 4])
     def test_k_domain(self, k):
         with pytest.raises(ValueError):
