@@ -18,6 +18,8 @@ import argparse
 import csv
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -179,23 +181,33 @@ _CSV_HEADER = [
     "clipped",
 ]
 
-# printf formats of a line from its formatted "n,b_n,rho_n," head, x and
-# y cells and ",clipped\n" tail: the 10 value cells between y and the
-# tail at 17 significant digits, or blank for a skipped point
-_LINE = "%s%s,%s," + ",".join(["%.17g"] * 10) + "%s"
-_BLANK_LINE = "%s%s,%s" + "," * 10 + "%s"
+# printf formats of the 10 value cells of a line, between y and the
+# clipped tail, at 17 significant digits, and of a whole line from its
+# formatted "n,b_n,rho_n," head, x and y cells, value cells and
+# ",clipped\n" tail; a skipped point leaves its value cells blank
+_VALUES = ",".join(["%.17g"] * 10)
+_BLANK_VALUES = "," * 9
+_LINE = "%s%s,%s,%s%s"
+
+# os.open flags of the output file: O_BINARY exists only on Windows, and
+# keeps "\n" from becoming "\r\n" there
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
     """Fixed-header CSV, 17 significant digits, byte-stable.
 
-    A cell shared by many lines is formatted once: the n, b_n, rho_n
-    head and the clipped tail while a record carries the same objects as
-    the one before (records arrive n-major), and each nonzero x or y
-    value through a memo.  Zeros skip the memo, which would merge 0.0
-    and -0.0."""
+    Each cell is formatted once per call for all the lines that share
+    it: the n, b_n, rho_n head and the clipped tail while a record
+    carries the same objects as the one before (records arrive n-major),
+    each nonzero x or y value, and each tuple of the 10 values, which a
+    square grid repeats at (x, y) and (y, x).  Zeros skip the memos,
+    whose float keys would merge 0.0 and -0.0.  The CSV goes over the
+    file at `path` in place (`_overwrite`); "-" is stdout.
+    """
     lines = [",".join(_CSV_HEADER) + "\n"]
     cells: dict[float, str] = {}
+    values: dict[tuple[float, ...], str] = {}
     row = None
     for n, b, rho, x, y, exact, approx, err, scaled, clipped in records:
         if row is None or not (n is row[0] and b is row[1] and rho is row[2]
@@ -214,19 +226,40 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
             if y:
                 cells[y] = y_cell
         if exact is None:
-            lines.append(_BLANK_LINE % (head, x_cell, y_cell, tail))
+            value_cells = _BLANK_VALUES
         else:
-            lines.append(_LINE % (head, x_cell, y_cell, exact,
-                                  *approx, *err, *scaled, tail))
+            key = (exact, *approx, *err, *scaled)
+            value_cells = values.get(key)
+            if value_cells is None:
+                value_cells = _VALUES % key
+                if 0.0 not in key:
+                    values[key] = value_cells
+        lines.append(_LINE % (head, x_cell, y_cell, value_cells, tail))
     text = "".join(lines)
     if path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            stream.write(text)
+        _overwrite(path, text.encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write study output to {path!r}: {exc}") from exc
+
+
+def _overwrite(path: str, data: bytes) -> None:
+    """Write `data` over the file at `path`, created with mode 0o666 less
+    the umask if absent, then cut it to the length of `data` if it is a
+    regular file: ftruncate fails on a FIFO or a device such as
+    /dev/null.  Truncating an existing file to zero first would free its
+    blocks only for the write to allocate them again."""
+    fd = os.open(path, _OUT_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read_records(path: str) -> list[ConvergenceRecord]:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -455,13 +455,39 @@ _LAG48_WEIGHTS = (
     4.346574422738575e-63, 3.434736438396534e-68, 1.3190660883980075e-74,
 )
 
-# One numpy pass evaluates both rules: the 64 nodes first, then the 48,
-# and row i of the weight matrix picks out rule i.
-_LAG_NODES = np.array(_LAG64_NODES + _LAG48_NODES)
-_LAG_NEG_HALF_SQ = -0.5 * _LAG_NODES * _LAG_NODES
-_LAG_WEIGHTS = np.zeros((2, _LAG_NODES.size))
-_LAG_WEIGHTS[0, :64] = _LAG64_WEIGHTS
-_LAG_WEIGHTS[1, 64:] = _LAG48_WEIGHTS
+
+class _Rules(NamedTuple):
+    """Both rules in one table: the 64-node rule's nodes first, then the
+    48-node rule's, and row i of `weights` picks out rule i."""
+
+    nodes: np.ndarray
+    neg_half_sq: np.ndarray
+    weights: np.ndarray
+
+
+def _rules(k64: int, k48: int) -> _Rules:
+    """The first k64 and k48 nodes of the two rules."""
+    nodes = np.array(_LAG64_NODES[:k64] + _LAG48_NODES[:k48])
+    weights = np.zeros((2, nodes.size))
+    weights[0, :k64] = _LAG64_WEIGHTS[:k64]
+    weights[1, k64:] = _LAG48_WEIGHTS[:k48]
+    return _Rules(nodes, -0.5 * nodes * nodes, weights)
+
+
+_LAG_FULL = _rules(64, 48)
+# The nodes a pass evaluates first.  Each count is a multiple of 8, so
+# numpy's 8-way unrolled row sum puts every kept term in the same partial
+# sum, in the same order, as over the full rules.
+_CUT64, _CUT48 = 32, 32
+_LAG_CUT = _rules(_CUT64, _CUT48)
+# For each rule, the first node dropped and the weight of all dropped
+# nodes
+_CUT_NODE = np.array([_LAG64_NODES[_CUT64], _LAG48_NODES[_CUT48]])
+_CUT_WEIGHT = np.array([math.fsum(_LAG64_WEIGHTS[_CUT64:]),
+                        math.fsum(_LAG48_WEIGHTS[_CUT48:])])
+# A pair keeps the cut where the dropped terms of both rules sum to at
+# most this share of its kept 64-node sum.
+_CUT_SHARE = 2.0 ** -60
 
 # The two rules must agree to this relative tolerance, or both give a
 # value below the smallest normal double, before the 64-node value is
@@ -582,10 +608,20 @@ def _laguerre_pass(
     phi; for rho < 0 and x0 > 0 the survival factor decays too, at rate
     ~ -rho*x0/s, and lam adds it so that g stays smooth.
 
-    All pairs go through one (pairs x 112 nodes) numpy pass.  Only
-    elementwise IEEE operations and per-row sums act across pairs, and
-    the two exponentials whose bits reach the result unscaled stay on
-    math.exp, so no value depends on which other pairs share the pass.
+    The weights decay faster than exponentially, so each pair first
+    takes only the first nodes of each rule (`_LAG_CUT`).  The survival
+    factor is at most 1, and past its peak lam^2 m, m = max(0, 1 - a/lam),
+    the exponential factor falls, so the terms a rule drops sum to at
+    most its dropped weight times the exponential at the later of the
+    first dropped node and the peak (times 2, the largest erfc).  A pair
+    where that bound exceeds 2^-60 of its kept 64-node sum, for either
+    rule, takes the full rules.
+
+    All pairs go through one (pairs x nodes) numpy pass, and the
+    fallback pairs through one more.  Only elementwise IEEE operations
+    and per-row sums act across pairs, and the two exponentials whose
+    bits reach the result unscaled stay on math.exp, so no value
+    depends on which other pairs share the pass.
     """
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     x0 = (c - rho * a) / s
@@ -595,34 +631,61 @@ def _laguerre_pass(
     # phi(a) underflows past a ~ 38.6: those pairs are 0
     live = np.flatnonzero(scale != 0.0)
     a, c, x0, lam = a[live], c[live], x0[live], lam[live]
-    # In y = x/sqrt(2) units the survival argument is y = y0 - u with
-    # u = beta*v, and 2 survival(x) = erfc(y) = erfcx(|y|) exp(-y^2) for
-    # y > 0, two minus that for y <= 0.  exp(-y^2) is exp(-y0^2), formed
-    # once from the exact square, times exp(u (2 y0 - u)): ndtr and erfc
-    # round y^2 internally and lose ~y^2 ulp (6e-14 at x = 20).
+    # exp(-y0^2) of `_node_sums`, formed once from the exact square
     hi, lo = _half_square_ratio(c, rho, a)
     exp_y0 = np.array([math.exp(-p) * math.exp(-q)
                        for p, q in zip(hi.tolist(), lo.tolist())])
-    y0 = (_SQRT1_2_HI * x0)[:, None]
-    u = ((_SQRT1_2_HI * rho / (s * lam))[:, None]) * _LAG_NODES
+    # x0 < 0 puts y <= 0 first at rho < 0, where only absolute accuracy
+    # counts, and exp(u (2 y0 - u)) would overflow against an exp(-y0^2)
+    # of 0: those pairs take exp(-y^2) itself
+    start = x0 < 0.0 if rho < 0.0 else None
+    if start is not None:
+        exp_y0[start] = 1.0
+    decay, lam2 = 1.0 - a / lam, lam * lam
+    pairs = (_SQRT1_2_HI * x0, _SQRT1_2_HI * rho / (s * lam), exp_y0,
+             start, decay, lam2)
+    sums = _node_sums(_LAG_CUT, *pairs)
+    m = np.maximum(decay, 0.0)[:, None]
+    v = np.maximum(_CUT_NODE, lam2[:, None] * m)
+    with np.errstate(over="ignore"):
+        dropped = 2.0 * _CUT_WEIGHT * np.exp(
+            v * m - v * v / (2.0 * lam2)[:, None])
+    full = np.flatnonzero(~(dropped <= _CUT_SHARE * sums[:, :1]).all(axis=1))
+    if full.size:
+        sums[full] = _node_sums(_LAG_FULL, *(None if p is None else p[full]
+                                             for p in pairs))
+    out = np.zeros((scale.size, 2))
+    out[live] = sums
+    return scale * out[:, 0], scale * out[:, 1]
+
+
+def _node_sums(
+    rules: _Rules, y0: np.ndarray, beta: np.ndarray, exp_y0: np.ndarray,
+    start: np.ndarray | None, decay: np.ndarray, lam2: np.ndarray
+) -> np.ndarray:
+    """The sums over the nodes of `rules` of weight times g(v), in units
+    where the survival factor is erfc, one row per pair and one column
+    per rule (see `_laguerre_pass`).
+
+    In y = x/sqrt(2) units the survival argument is y = y0 - u with
+    u = beta*v, and 2 survival(x) = erfc(y) = erfcx(|y|) exp(-y^2) for
+    y > 0, two minus that for y <= 0.  exp(-y^2) is exp_y0 = exp(-y0^2)
+    times exp(u (2 y0 - u)): ndtr and erfc round y^2 internally and lose
+    ~y^2 ulp (6e-14 at x = 20).  Rows where `start` holds take exp(-y^2)
+    itself, with exp_y0 = 1.  decay is 1 - a/lam and lam2 is lam^2.
+    """
+    y0 = y0[:, None]
+    u = beta[:, None] * rules.nodes
     y = y0 - u
     arg = u * (2.0 * y0 - u)
-    if rho < 0.0:
-        # x0 < 0 puts y <= 0 first, where only absolute accuracy counts,
-        # and exp(u (2 y0 - u)) would overflow against an exp(-y0^2) of
-        # 0: take exp(-y^2) itself
-        start = x0 < 0.0
+    if start is not None:
         arg[start] = -y[start] ** 2
-        exp_y0[start] = 1.0
     tail = _erfcx(np.abs(y)) * np.exp(arg) * exp_y0[:, None]
-    g = np.exp(_LAG_NODES * (1.0 - a / lam)[:, None]
-               + _LAG_NEG_HALF_SQ / (lam * lam)[:, None])
+    g = np.exp(rules.nodes * decay[:, None] + rules.neg_half_sq / lam2[:, None])
     g *= np.where(y > 0.0, tail, 2.0 - tail)
     # numpy's own sum rather than a BLAS dot: the same bytes whatever
     # BLAS is linked, and no BLAS work buffer in peak memory
-    sums = np.zeros((scale.size, 2))
-    sums[live] = (_LAG_WEIGHTS * g[:, None, :]).sum(axis=2)
-    return scale * sums[:, 0], scale * sums[:, 1]
+    return (rules.weights * g[:, None, :]).sum(axis=2)
 
 
 def _certified(v64: np.ndarray, v48: np.ndarray) -> np.ndarray:
@@ -683,7 +746,8 @@ def joint_tail_survival(
             raise QuadratureConvergenceError(
                 f"joint tail P(X > {hj!r}, Y > {kj!r}) at rho={rho!r}: its "
                 f"64- and 48-node diagonal values differ by {spread:.3g}",
-                QuadratureResult(float(v64[j]), spread, 2 * _LAG_NODES.size))
+                QuadratureResult(float(v64[j]), spread,
+                                 2 * _LAG_FULL.nodes.size))
         out[rows] = v64
     return out.tolist()
 

@@ -2,7 +2,8 @@
 
 Everything here exists to check the closed forms and exact evaluators
 from the outside; no expansion code path depends on this module.  The
-semi-infinite integrals all carry an e^{-z} factor, which the fixed
+semi-infinite integrals all carry an e^{-z} factor, or a normal density
+once I_k is taken in its own variable, which the fixed
 double-exponential rule `quadrature.exp_sinh` integrates to rounding
 error; its step-1/16 and step-1/32 values certify each integral.  Each
 integrand is a numpy function of the rule's whole node array, so one
@@ -55,44 +56,55 @@ def quad_semi_infinite(
 
 
 def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
-    """int_y^inf phi(lam + (x-z)/(2 lam)) e^{-z} z^k dz by quadrature."""
+    """int_y^inf phi(lam + (x-z)/(2 lam)) e^{-z} z^k dz by quadrature.
+
+    The integrand is also e^{-x} phi((z - m)/(2 lam)) z^k, a normal
+    density in z of width 2 lam about m = x - 2 lam^2.  In its own
+    variable u = (z - m)/(2 lam) the integral is
+
+        2 lam e^{-x} int_{u_y}^inf phi(u) (m + 2 lam u)^k du,
+
+    u_y = (y - x)/(2 lam) + lam, of width 1 for every lam, with e^{-x}
+    outside it.  The rule's nodes crowd at its lower limit and miss a
+    peak far above it, so a u_y below -4 takes the two half-lines from
+    0 less the half-line below u_y.  The integral in u is held to 1e-11
+    of I absolute or 1e-12 relative.
+    """
     k = check_k(k)
     check_lam(lam)
     for name, value in (("x", x), ("y", y)):
         if math.isnan(value):
             raise ValueError(f"I_k_quadrature requires {name} that is not "
                              f"NaN, got {value}")
+    try:
+        weight = 2.0 * lam * math.exp(-x)
+    except OverflowError:
+        weight = math.inf
+    if weight == 0.0:
+        return 0.0
+    m = x - 2.0 * lam * lam
 
-    # The integrand is also e^{-x} phi(lam - (x-z)/(2 lam)) z^k, a normal
-    # density in z of width 2 lam peaking at x - 2 lam^2; that form takes
-    # the nodes where e^{-z} overflows.
-    def integrand(z: np.ndarray) -> np.ndarray:
+    def integrand(u: np.ndarray) -> np.ndarray:
+        density = std_normal_pdf_array(u)
         with np.errstate(over="ignore", invalid="ignore"):
-            growth = np.exp(-z)
-            values = (std_normal_pdf_array(lam + (x - z) / (2.0 * lam))
-                      * growth * z**k)
-            far = np.isinf(growth)
-            if far.any():
-                z = z[far]
-                values[far] = (std_normal_pdf_array(lam - (x - z) / (2.0 * lam))
-                               * np.exp(-x) * z**k)
-        return values
+            values = density * (m + 2.0 * lam * u) ** k
+        # 0 where the density is, even if m + 2 lam u is inf - inf there
+        return np.where(density == 0.0, 0.0, values)
 
-    # The rule's nodes crowd at its lower limit and miss a narrow peak a
-    # few widths above it.  A y more than 4 widths below the peak takes
-    # the whole line, from the peak both ways, less the half-line below
-    # y: each of the three integrands peaks at its lower limit.  The 402
-    # that the nodes reach past the peak must span 10 widths.
-    peak = x - 2.0 * lam * lam
-    if not (y < peak - 8.0 * lam and lam <= 20.0 and math.isfinite(peak)):
-        return quad_semi_infinite(integrand, y, 1e-10).value
-    whole = (quad_semi_infinite(integrand, peak, 1e-10).value
-             + quad_semi_infinite(lambda v: integrand(2.0 * peak - v),
-                                  peak, 1e-10).value)
-    if y == -math.inf:
-        return whole
-    return whole - quad_semi_infinite(lambda v: integrand(2.0 * y - v),
-                                      y, 1e-10).value
+    def half_line(f: Callable[[np.ndarray], np.ndarray], lower: float) -> float:
+        return quad_semi_infinite(f, lower, max(1e-10 / weight, 5e-324)).value
+
+    u_y = (y - x) / (2.0 * lam) + lam
+    if u_y >= -4.0:
+        total = half_line(integrand, u_y)
+    else:
+        def mirrored(v: np.ndarray) -> np.ndarray:
+            return integrand(-v)
+
+        total = half_line(integrand, 0.0) + half_line(mirrored, 0.0)
+        if u_y > -math.inf:
+            total -= half_line(mirrored, -u_y)
+    return 0.0 if total == 0.0 else weight * total
 
 
 # Normals per chunk and per Z2 block; the chunk size fixes which doubles

@@ -4,8 +4,10 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import re
 import shlex
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -379,6 +381,106 @@ class TestWriteRecords:
         assert written(records, tmp_path) == oracle_csv(records)
         assert written(iter(records), tmp_path) == oracle_csv(records)
         assert written([], tmp_path) == oracle_csv([])
+
+    def test_special_values_keep_their_lines(self, tmp_path):
+        # the value-line memo merges tuples that compare equal, and 0.0 ==
+        # -0.0: a line holding a zero of either sign is formatted afresh.
+        # NaN and both infinities, repeated, print as the oracle does
+        nan, inf = float("nan"), math.inf
+
+        def record(x, exact, approx, err, scaled):
+            return ConvergenceRecord(100, 2.5, 0.5, x, 1.0, exact, approx,
+                                     err, scaled, False)
+
+        same = (0.25, (0.5, 0.1, 0.0), (1e-3, 2.0, inf), (3.0, -inf, 7.0))
+        flipped = (0.25, (0.5, 0.1, -0.0), (1e-3, 2.0, inf), (3.0, -inf, 7.0))
+        with_nan = (nan, (nan, 0.1, 0.2), (inf, -inf, nan), (1.0, nan, 2.0))
+        records = [record(1.0, *same), record(2.0, *flipped),
+                   record(3.0, *same), record(4.0, *flipped),
+                   record(5.0, *with_nan), record(6.0, *with_nan),
+                   record(7.0, -0.0, (0.0,) * 3, (-0.0,) * 3, (0.0,) * 3),
+                   record(8.0, 0.0, (-0.0,) * 3, (0.0,) * 3, (-0.0,) * 3)]
+        text = written(records, tmp_path)
+        assert text == oracle_csv(records)
+        assert [line.split(",")[8] for line in text.splitlines()[1:5]] == [
+            "0", "-0", "0", "-0"]
+
+    def test_grid_without_repeated_lines(self, tmp_path):
+        # y is off x's lattice, so no two lines share their 10 values
+        config = build_study_config({
+            "spec": "third-order", "lambda": "1", "alpha": "2", "beta": "5",
+            "n": "3:3:1", "grid": "x=-2:4:0.5,y=-1.93:4.07:0.5"})
+        records = run_study(config)
+        values = {(r.exact, *r.approx, *r.err, *r.scaled) for r in records}
+        assert len(values) == len(records) == 169
+        assert written(records, tmp_path) == oracle_csv(records)
+
+
+class TestWriteTarget:
+    """The CSV goes over the file at --out in place, cut to its length."""
+
+    ARGV = [*THIRD_ORDER_TABLE, "--n", "3", "--grid", "x=-2:4:0.5"]
+
+    def expected(self):
+        config = build_study_config({
+            "spec": "third-order", "lambda": "1", "alpha": "2", "beta": "5",
+            "n": "3", "grid": "x=-2:4:0.5"})
+        return oracle_csv(run_study(config)).encode()
+
+    def test_longer_file_is_cut(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        out.write_bytes(b"x" * 100_000)
+        assert len(self.expected()) < 100_000
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert out.read_bytes() == self.expected()
+
+    def test_device_is_not_cut(self, capsys):
+        # ftruncate on a character device fails with EINVAL
+        assert main([*self.ARGV, "--out", os.devnull]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_gets_every_byte(self, tmp_path, capsys):
+        fifo = tmp_path / "study.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*self.ARGV, "--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert received == [self.expected()]
+
+    def test_short_writes_are_resumed(self, tmp_path, capsys, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: real_write(fd, data[:4096]))
+        out = tmp_path / "study.csv"
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert len(self.expected()) > 4 * 4096
+        assert out.read_bytes() == self.expected()
+
+    def test_directory_exits_1(self, tmp_path, capsys):
+        assert main([*self.ARGV, "--out", str(tmp_path)]) == 1
+        assert "cannot write study output to" in capsys.readouterr().err
+
+    def test_regular_file_is_never_truncated_on_open(self, tmp_path, capsys,
+                                                     monkeypatch):
+        out = tmp_path / "study.csv"
+        out.write_bytes(b"x" * 100_000)
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert [path for path, _ in opened] == [str(out)]
+        assert not opened[0][1] & os.O_TRUNC
+        assert out.read_bytes() == self.expected()
 
 
 class TestFitRate:

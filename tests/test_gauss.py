@@ -782,6 +782,104 @@ class TestBivariateTail:
             np.testing.assert_array_max_ulp(np.array(weights), want_weights, 4)
 
 
+@pytest.fixture
+def node_sums(monkeypatch):
+    """Record each `_node_sums` call of the joint tail as (whether it
+    takes the full rules, its arguments), in call order."""
+    calls = []
+    one_call = gauss._node_sums
+
+    def recorded(rules, *pairs):
+        calls.append((rules is gauss._LAG_FULL, pairs))
+        return one_call(rules, *pairs)
+
+    monkeypatch.setattr(gauss, "_node_sums", recorded)
+    return calls
+
+
+def _full_rule_rows(calls) -> tuple[int, int]:
+    """(rows that took the full rules, rows of all passes)."""
+    return (sum(len(p[0]) for full, p in calls if full),
+            sum(len(p[0]) for full, p in calls if not full))
+
+
+class TestNodeCut:
+    """Each pass evaluates the first 32 nodes of each rule, and the full
+    rules only for the pairs where the dropped terms may exceed 2^-60 of
+    the kept 64-node sum."""
+
+    @pytest.mark.parametrize("n, grid, fallbacks, rows", [
+        ("3:8:0.5", "x=-2:4:0.5", 0, 930),
+        ("1:2.5:0.25", "x=-3:1:0.25", 0, 3),
+    ])
+    def test_reference_studies_keep_the_cut(self, node_sums, n, grid,
+                                            fallbacks, rows):
+        from hrx.cli import build_study_config, run_study
+
+        run_study(build_study_config({
+            "spec": "third-order", "lambda": "1", "alpha": "2", "beta": "5",
+            "n": n, "grid": grid}))
+        assert _full_rule_rows(node_sums) == (fallbacks, rows)
+
+    @pytest.mark.parametrize("table, fallbacks, rows", [
+        # pairs at rho < 0 with x0 > 0, whose exp(v (1 - a/lam)) factor
+        # peaks past the cut, and pairs with a >= 10, whose Gaussian
+        # factor exp(-v^2/(2 a^2)) decays too slowly for the bound
+        (BVN_TAIL_REFERENCE, 19, 58),
+        (BVN_NEAR_ONE_REFERENCE, 4, 95),
+    ])
+    def test_frozen_tables(self, node_sums, table, fallbacks, rows):
+        for h, k, r, _ in table:
+            bivariate_normal_survival(h, k, r)
+        assert _full_rule_rows(node_sums) == (fallbacks, rows)
+
+    @pytest.mark.parametrize("h, r, want", [
+        (31.25, 0.5, 7.602931139852261e-287),
+        (34.25, 0.8, 6.77088343506947e-287),
+        (35.25, 0.9, 9.966790761722461e-288),
+    ])
+    def test_weight_beyond_the_cut(self, node_sums, h, r, want):
+        # the kept nodes alone miss the 64-node sum by 1.6e-13 to 7.4e-12;
+        # the pair takes the full rules, and its value is the one every
+        # pair had before the cut, bit for bit
+        assert bivariate_normal_survival(h, h, r) == want
+        (cut, pairs), (full, _) = node_sums
+        assert (cut, full) == (False, True)
+        short = gauss._node_sums(gauss._LAG_CUT, *pairs)[0, 0]
+        whole = gauss._node_sums(gauss._LAG_FULL, *pairs)[0, 0]
+        assert abs(short / whole - 1.0) > 1e-13
+
+    @given(st.floats(3.0, 38.0), st.floats(-20.0, 40.0),
+           st.floats(-0.999, 0.9999))
+    def test_bound_covers_the_dropped_terms(self, a, c, r):
+        # for c <= a, as the direct and the conditioning pass use, and any
+        # real c at rho < 0, as the diagonal pass does: where a pair keeps
+        # the cut, the terms of the dropped nodes, evaluated, sum to at
+        # most 2^-60 of its kept 64-node sum, in both rules
+        assume(c <= a or r < 0.0)
+        calls = []
+        one_call = gauss._node_sums
+
+        def recorded(rules, *pairs):
+            calls.append((rules is gauss._LAG_FULL, pairs))
+            return one_call(rules, *pairs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gauss, "_node_sums", recorded)
+            gauss._laguerre_pass(np.array([a]), np.array([c]), r)
+        # one pass that kept the cut, for a pair whose phi(a) is normal
+        assume(len(calls) == 1 and calls[0][1][0].size == 1)
+        (_, pairs), = calls
+        kept = one_call(gauss._LAG_CUT, *pairs)[0]
+        nodes = np.array(gauss._LAG64_NODES[32:] + gauss._LAG48_NODES[32:])
+        weights = np.zeros((2, nodes.size))
+        weights[0, :32] = gauss._LAG64_WEIGHTS[32:]
+        weights[1, 32:] = gauss._LAG48_WEIGHTS[32:]
+        dropped = one_call(gauss._Rules(nodes, -0.5 * nodes * nodes, weights),
+                           *pairs)[0]
+        assert np.all(dropped <= 2.0**-60 * kept[0])
+
+
 def mp_erfcx(z: float) -> float:
     """exp(z^2) erfc(z) in 40-digit mpmath, rounded to a double."""
     import mpmath
