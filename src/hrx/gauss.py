@@ -475,16 +475,16 @@ def _rules(k64: int, k48: int) -> _Rules:
 
 
 _LAG_FULL = _rules(64, 48)
-# The nodes a pass evaluates first.  Each count is a multiple of 8, so
+# The nodes of each rule a pass evaluates first.  A multiple of 8, so
 # numpy's 8-way unrolled row sum puts every kept term in the same partial
 # sum, in the same order, as over the full rules.
-_CUT64, _CUT48 = 32, 32
-_LAG_CUT = _rules(_CUT64, _CUT48)
+_CUT = 32
+_LAG_CUT = _rules(_CUT, _CUT)
 # For each rule, the first node dropped and the weight of all dropped
 # nodes
-_CUT_NODE = np.array([_LAG64_NODES[_CUT64], _LAG48_NODES[_CUT48]])
-_CUT_WEIGHT = np.array([math.fsum(_LAG64_WEIGHTS[_CUT64:]),
-                        math.fsum(_LAG48_WEIGHTS[_CUT48:])])
+_CUT_NODE = np.array([_LAG64_NODES[_CUT], _LAG48_NODES[_CUT]])
+_CUT_WEIGHT = np.array([math.fsum(_LAG64_WEIGHTS[_CUT:]),
+                        math.fsum(_LAG48_WEIGHTS[_CUT:])])
 # A pair keeps the cut where the dropped terms of both rules sum to at
 # most this share of its kept 64-node sum.
 _CUT_SHARE = 2.0 ** -60

@@ -782,18 +782,23 @@ class TestBivariateTail:
             np.testing.assert_array_max_ulp(np.array(weights), want_weights, 4)
 
 
-@pytest.fixture
-def node_sums(monkeypatch):
-    """Record each `_node_sums` call of the joint tail as (whether it
-    takes the full rules, its arguments), in call order."""
-    calls = []
+def _recording(calls):
+    """`gauss._node_sums`, appending (whether it takes the full rules, its
+    per-pair arguments) to `calls` at each call."""
     one_call = gauss._node_sums
 
     def recorded(rules, *pairs):
         calls.append((rules is gauss._LAG_FULL, pairs))
         return one_call(rules, *pairs)
 
-    monkeypatch.setattr(gauss, "_node_sums", recorded)
+    return recorded
+
+
+@pytest.fixture
+def node_sums(monkeypatch):
+    """The `_node_sums` calls of the joint tail, in call order."""
+    calls = []
+    monkeypatch.setattr(gauss, "_node_sums", _recording(calls))
     return calls
 
 
@@ -839,9 +844,9 @@ class TestNodeCut:
         (35.25, 0.9, 9.966790761722461e-288),
     ])
     def test_weight_beyond_the_cut(self, node_sums, h, r, want):
-        # the kept nodes alone miss the 64-node sum by 1.6e-13 to 7.4e-12;
-        # the pair takes the full rules, and its value is the one every
-        # pair had before the cut, bit for bit
+        # the kept nodes alone miss the 64-node sum by 1.6e-13 to 7.4e-12:
+        # the pair takes the full rules, and its value is theirs, frozen
+        # here bit for bit
         assert bivariate_normal_survival(h, h, r) == want
         (cut, pairs), (full, _) = node_sums
         assert (cut, full) == (False, True)
@@ -858,25 +863,20 @@ class TestNodeCut:
         # most 2^-60 of its kept 64-node sum, in both rules
         assume(c <= a or r < 0.0)
         calls = []
-        one_call = gauss._node_sums
-
-        def recorded(rules, *pairs):
-            calls.append((rules is gauss._LAG_FULL, pairs))
-            return one_call(rules, *pairs)
-
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(gauss, "_node_sums", recorded)
+            m.setattr(gauss, "_node_sums", _recording(calls))
             gauss._laguerre_pass(np.array([a]), np.array([c]), r)
         # one pass that kept the cut, for a pair whose phi(a) is normal
         assume(len(calls) == 1 and calls[0][1][0].size == 1)
         (_, pairs), = calls
-        kept = one_call(gauss._LAG_CUT, *pairs)[0]
-        nodes = np.array(gauss._LAG64_NODES[32:] + gauss._LAG48_NODES[32:])
+        kept = gauss._node_sums(gauss._LAG_CUT, *pairs)[0]
+        cut = gauss._CUT
+        nodes = np.array(gauss._LAG64_NODES[cut:] + gauss._LAG48_NODES[cut:])
         weights = np.zeros((2, nodes.size))
-        weights[0, :32] = gauss._LAG64_WEIGHTS[32:]
-        weights[1, 32:] = gauss._LAG48_WEIGHTS[32:]
-        dropped = one_call(gauss._Rules(nodes, -0.5 * nodes * nodes, weights),
-                           *pairs)[0]
+        weights[0, :64 - cut] = gauss._LAG64_WEIGHTS[cut:]
+        weights[1, 64 - cut:] = gauss._LAG48_WEIGHTS[cut:]
+        dropped = gauss._node_sums(
+            gauss._Rules(nodes, -0.5 * nodes * nodes, weights), *pairs)[0]
         assert np.all(dropped <= 2.0**-60 * kept[0])
 
 
