@@ -18,8 +18,6 @@ import argparse
 import csv
 import functools
 import math
-import os
-import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -189,10 +187,6 @@ _VALUES = ",".join(["%.17g"] * 10)
 _BLANK_VALUES = "," * 9
 _LINE = "%s%s,%s,%s%s"
 
-# os.open flags of the output file: O_BINARY exists only on Windows, and
-# keeps "\n" from becoming "\r\n" there
-_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
     """Fixed-header CSV, 17 significant digits, byte-stable.
@@ -202,8 +196,7 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
     carries the same objects as the one before (records arrive n-major),
     each nonzero x or y value, and each tuple of the 10 values, which a
     square grid repeats at (x, y) and (y, x).  Zeros skip the memos,
-    whose float keys would merge 0.0 and -0.0.  The CSV goes over the
-    file at `path` in place (`_overwrite`); "-" is stdout.
+    whose float keys would merge 0.0 and -0.0.  "-" is stdout.
     """
     lines = [",".join(_CSV_HEADER) + "\n"]
     cells: dict[float, str] = {}
@@ -240,26 +233,10 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        _overwrite(path, text.encode("utf-8"))
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
     except OSError as exc:
         raise OSError(f"cannot write study output to {path!r}: {exc}") from exc
-
-
-def _overwrite(path: str, data: bytes) -> None:
-    """Write `data` over the file at `path`, created with mode 0o666 less
-    the umask if absent, then cut it to the length of `data` if it is a
-    regular file: ftruncate fails on a FIFO or a device such as
-    /dev/null.  Truncating an existing file to zero first would free its
-    blocks only for the write to allocate them again."""
-    fd = os.open(path, _OUT_FLAGS, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
 
 
 def read_records(path: str) -> list[ConvergenceRecord]:

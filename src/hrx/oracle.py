@@ -78,7 +78,7 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
                              f"NaN, got {value}")
     try:
         weight = 2.0 * lam * math.exp(-x)
-    except OverflowError:
+    except OverflowError:  # x < -709.78
         weight = math.inf
     if weight == 0.0:
         return 0.0
@@ -104,7 +104,16 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
         total = half_line(integrand, 0.0) + half_line(mirrored, 0.0)
         if u_y > -math.inf:
             total -= half_line(mirrored, -u_y)
-    return 0.0 if total == 0.0 else weight * total
+    if total == 0.0:
+        return 0.0
+    if weight < math.inf:
+        return weight * total
+    # 2 lam e^{-x} overflows, but the integral times it may not
+    try:
+        scale = math.exp(math.log(2.0 * lam) - x + math.log(abs(total)))
+    except OverflowError:
+        scale = math.inf
+    return math.copysign(scale, total)
 
 
 # Normals per chunk and per Z2 block; the chunk size fixes which doubles

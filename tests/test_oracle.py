@@ -344,6 +344,23 @@ class TestIkQuadrature:
             got = I_k_quadrature(k, lam, x, y)
             assert abs(got - want) <= max(1e-9 * abs(want), 1e-10), (k, lam, x, y)
 
+    @pytest.mark.parametrize("k, lam, x, y, want", [
+        (0, 1.0, -710.0, -700.0, 4.408063270748051e+299),
+        (3, 1.0, -710.0, -700.0, -1.5099136313387887e+308),
+        (0, 0.01, -712.0, -713.0, 3.301422530377269e+307),
+        (2, 0.01, -712.0, -711.9, 4.553477292016474e+306),
+        (1, 0.5, -720.0, -730.0, -math.inf),
+    ])
+    def test_exponential_overflows_outside_the_integral(self, k, lam, x, y,
+                                                        want):
+        # e^{-x} overflows below x = -709.78 where I need not: 40-digit
+        # mpmath values, correctly rounded, and -inf past the double range
+        got = I_k_quadrature(k, lam, x, y)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert rel_err(got, want) <= 1e-12
+
     def test_infinite_lower_limit_is_the_whole_line(self):
         # I_0 over the whole line is 2 lam e^{-x}
         assert I_k_quadrature(0, 1.0, 0.0, -math.inf) == pytest.approx(2.0, rel=1e-14)
