@@ -179,28 +179,29 @@ _CSV_HEADER = [
     "clipped",
 ]
 
-# printf formats of the 10 value cells of a line, between y and the
-# clipped tail, at 17 significant digits, and of a whole line from its
-# formatted "n,b_n,rho_n," head, x and y cells, value cells and
-# ",clipped\n" tail; a skipped point leaves its value cells blank
-_VALUES = ",".join(["%.17g"] * 10)
-_BLANK_VALUES = "," * 9
-_LINE = "%s%s,%s,%s%s"
+# printf formats of a line from its formatted "n,b_n,rho_n," head, x and
+# y cells and ",clipped\n" tail: the 10 value cells between y and the
+# tail at 17 significant digits, or blank for a skipped point; and of a
+# line that takes its value cells and tail from an earlier line
+_LINE = "%s%s,%s," + ",".join(["%.17g"] * 10) + "%s"
+_BLANK_LINE = "%s%s,%s" + "," * 10 + "%s"
+_REPEAT_LINE = "%s%s,%s,%s"
 
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
     """Fixed-header CSV, 17 significant digits, byte-stable.
 
-    Each cell is formatted once per call for all the lines that share
-    it: the n, b_n, rho_n head and the clipped tail while a record
-    carries the same objects as the one before (records arrive n-major),
-    each nonzero x or y value, and each tuple of the 10 values, which a
-    square grid repeats at (x, y) and (y, x).  Zeros skip the memos,
-    whose float keys would merge 0.0 and -0.0.  "-" is stdout.
+    A cell shared by many lines is formatted once: the n, b_n, rho_n
+    head and the clipped tail while a record carries the same objects as
+    the one before (records arrive n-major), and each nonzero x or y
+    value through a memo.  Within a row, a line whose 10 values equal
+    those of an earlier line, as a square grid's (y, x) repeats (x, y),
+    copies that line's value cells; the earlier line is found by its
+    exact value, so a line that repeats none costs one dict lookup.
+    Zeros skip both memos: 0.0 == -0.0 would merge them.  "-" is stdout.
     """
     lines = [",".join(_CSV_HEADER) + "\n"]
     cells: dict[float, str] = {}
-    values: dict[tuple[float, ...], str] = {}
     row = None
     for n, b, rho, x, y, exact, approx, err, scaled, clipped in records:
         if row is None or not (n is row[0] and b is row[1] and rho is row[2]
@@ -208,6 +209,7 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
             row = n, b, rho, clipped
             head = "%s,%.17g,%.17g," % (n, b, rho)
             tail = ",true\n" if clipped else ",false\n"
+            earlier: dict[float, tuple] = {}
         x_cell = cells.get(x)
         if x_cell is None:
             x_cell = "%.17g" % x
@@ -219,15 +221,20 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
             if y:
                 cells[y] = y_cell
         if exact is None:
-            value_cells = _BLANK_VALUES
+            lines.append(_BLANK_LINE % (head, x_cell, y_cell, tail))
+            continue
+        seen = earlier.get(exact)
+        if (seen is not None and seen[0] == approx and seen[1] == err
+                and seen[2] == scaled and exact and 0.0 not in approx
+                and 0.0 not in err and 0.0 not in scaled):
+            # the earlier line after its n, b_n, rho_n, x and y cells
+            line = _REPEAT_LINE % (head, x_cell, y_cell,
+                                   seen[3].split(",", 5)[5])
         else:
-            key = (exact, *approx, *err, *scaled)
-            value_cells = values.get(key)
-            if value_cells is None:
-                value_cells = _VALUES % key
-                if 0.0 not in key:
-                    values[key] = value_cells
-        lines.append(_LINE % (head, x_cell, y_cell, value_cells, tail))
+            line = _LINE % (head, x_cell, y_cell, exact,
+                            *approx, *err, *scaled, tail)
+            earlier[exact] = approx, err, scaled, line
+        lines.append(line)
     text = "".join(lines)
     if path == "-":
         sys.stdout.write(text)

@@ -383,9 +383,10 @@ class TestWriteRecords:
         assert written([], tmp_path) == oracle_csv([])
 
     def test_special_values_keep_their_lines(self, tmp_path):
-        # the value-line memo merges tuples that compare equal, and 0.0 ==
-        # -0.0: a line holding a zero of either sign is formatted afresh.
-        # NaN and both infinities, repeated, print as the oracle does
+        # a line copies the value cells of an earlier line whose values
+        # compare equal, and 0.0 == -0.0: a line holding a zero of either
+        # sign is formatted afresh.  NaN and both infinities, repeated,
+        # print as the oracle does
         nan, inf = float("nan"), math.inf
 
         def record(x, exact, approx, err, scaled):
