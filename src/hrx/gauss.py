@@ -9,13 +9,14 @@ Conventions used throughout the package:
 The survival tail matters here: norming thresholds push x into the 5-8
 range where scaled residuals probe ~1e-9 structure, so the tail is held
 to ~1e-13 relative accuracy rather than the ~1e-8 a complement would
-give.  Two ingredients make that work:
+give.  Two ingredients make that work, one formula per function:
 
-  * exp(-x^2/2) is evaluated with a split square, exp(-hi^2/2) *
+  * phi(x) is exp(-x^2/2) evaluated with a split square, exp(-hi^2/2) *
     exp(-(x^2 - hi^2)/2), so the argument rounding of x^2/2 (worth
     ~x^2 * ulp in relative terms) never lands inside the exponential;
-  * beyond x = 8 the tail is a Laplace continued fraction in phi(x),
-    which is free of subtraction by construction.
+  * cdf and survival are both 0.5 erfc(v/sqrt(2)), v = -x or x, with the
+    rounding defect of the argument v/sqrt(2) corrected to first order,
+    so survival(x) is the same double as cdf(-x) for every x.
 
 Beyond |t| = 40 every normal probability is exactly 0 or 1 in double
 precision, so each function meets infinite and huge arguments with one
@@ -104,10 +105,25 @@ _SPLIT = 134217729.0
 # erfc argument x/sqrt(2) can be formed with its rounding defect known.
 _SQRT1_2_HI = 0.7071067811865476
 _SQRT1_2_LO = -4.833646656726457e-17
-_T = _SPLIT * _SQRT1_2_HI
-_SQRT1_2_HI_H = _T - (_T - _SQRT1_2_HI)
-_SQRT1_2_HI_L = _SQRT1_2_HI - _SQRT1_2_HI_H
-del _T
+
+
+def _two_prod(x: float, y: float) -> tuple[float, float]:
+    """x*y as p + e exactly (Dekker's product on Veltkamp halves)."""
+    p = x * y
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _two_diff(x: float, y: float) -> tuple[float, float]:
+    """x - y as d + e exactly (Knuth's two-sum)."""
+    d = x - y
+    back = d - x
+    return d, (x - (d - back)) - (y + back)
 
 
 def _exp_neg_half_square(x: float) -> float:
@@ -123,26 +139,18 @@ def _exp_neg_half_square(x: float) -> float:
 def _half_erfc_scaled(v: float) -> float:
     """0.5 erfc(v/sqrt(2)) with the argument defect corrected.
 
-    erfc amplifies an argument perturbation by ~2a^2 in relative terms,
-    which alone would cost ~3e-15 near a = 5.7; forming the defect delta
-    exactly and applying erfc'(a) = -(2/sqrt(pi)) e^{-a^2} restores
-    ~1 ulp accuracy.
+    erfc amplifies a relative perturbation of its argument a by ~2a^2,
+    so the rounding of a alone would cost up to 2a^2 ulp, over 1e-13
+    near v = 37; forming the defect delta exactly and applying
+    erfc'(a) = -(2/sqrt(pi)) e^{-a^2} restores ~1 ulp accuracy.
     """
-    a = v * _SQRT1_2_HI
-    t = _SPLIT * v
-    vh = t - (t - v)
-    vl = v - vh
-    residual = (
-        vh * _SQRT1_2_HI_H - a + vh * _SQRT1_2_HI_L + vl * _SQRT1_2_HI_H
-    ) + vl * _SQRT1_2_HI_L
+    a, residual = _two_prod(v, _SQRT1_2_HI)
     delta = residual + v * _SQRT1_2_LO
     return 0.5 * math.erfc(a) - delta * _INV_SQRT_PI * math.exp(-a * a)
 
 
 def std_normal_pdf(x: float) -> float:
-    """Standard normal density phi(x)."""
-    if abs(x) < 8.0:
-        return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    """Standard normal density phi(x), from the split square."""
     # exp(-x^2/2) underflows to 0 here; past |x| ~ 2.6e5 the split's
     # cross term alone would overflow exp().
     if abs(x) >= _SATURATED:
@@ -157,27 +165,12 @@ def std_normal_cdf(x: float) -> float:
     return _half_erfc_scaled(-x)
 
 
-def _tail_cf(x: float) -> float:
-    """Laplace continued fraction for Phi-bar(x)/phi(x), x >= 8."""
-    if x < 12.0:
-        depth = 40
-    elif x < 20.0:
-        depth = 20
-    else:
-        depth = 12
-    t = x
-    for k in range(depth, 0, -1):
-        t = x + k / t
-    return 1.0 / t
-
-
 def std_normal_survival(x: float) -> float:
-    """Tail probability P(Z > x) without forming 1 - cdf."""
-    if x <= -_SATURATED:
-        return 1.0
-    if x < 8.0:
-        return _half_erfc_scaled(x)
-    return std_normal_pdf(x) * _tail_cf(x)
+    """Tail probability P(Z > x) without forming 1 - cdf: the same double
+    as std_normal_cdf(-x) for every x."""
+    if abs(x) >= _SATURATED:
+        return 0.0 if x > 0.0 else 1.0
+    return _half_erfc_scaled(x)
 
 
 def _exp_neg_half_square_array(x: np.ndarray) -> np.ndarray:
@@ -541,25 +534,6 @@ def _erfcx(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _two_prod(x: float, y: float) -> tuple[float, float]:
-    """x*y as p + e exactly (Dekker's product on Veltkamp halves)."""
-    p = x * y
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLIT * y
-    yh = t - (t - y)
-    yl = y - yh
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-
-def _two_diff(x: float, y: float) -> tuple[float, float]:
-    """x - y as d + e exactly (Knuth's two-sum)."""
-    d = x - y
-    back = d - x
-    return d, (x - (d - back)) - (y + back)
-
-
 def _half_square_ratio(c: float, rho: float, a: float) -> tuple[float, float]:
     """(c - rho*a)^2 / (2 (1 - rho^2)) as an unevaluated sum hi + lo.
 
@@ -626,8 +600,7 @@ def _laguerre_pass(
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     x0 = (c - rho * a) / s
     lam = a if rho >= 0.0 else a - rho * np.maximum(x0, 0.0) / s
-    scale = np.array([0.5 * _INV_SQRT_2PI * _exp_neg_half_square(v)
-                      for v in a.tolist()]) / lam
+    scale = np.array([0.5 * std_normal_pdf(v) for v in a.tolist()]) / lam
     # phi(a) underflows past a ~ 38.6: those pairs are 0
     live = np.flatnonzero(scale != 0.0)
     a, c, x0, lam = a[live], c[live], x0[live], lam[live]

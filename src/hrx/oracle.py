@@ -55,6 +55,11 @@ def quad_semi_infinite(
                     f"integral over [{lower!r}, inf)")
 
 
+# The lower limit in u above which `I_k_quadrature` integrates with
+# phi(u_y) factored out.  Every `hrx verify` integral lies below it.
+_ABOVE_PEAK = 8.0
+
+
 def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
     """int_y^inf phi(lam + (x-z)/(2 lam)) e^{-z} z^k dz by quadrature.
 
@@ -67,8 +72,9 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
     u_y = (y - x)/(2 lam) + lam, of width 1 for every lam, with e^{-x}
     outside it.  The rule's nodes crowd at its lower limit and miss a
     peak far above it, so a u_y below -4 takes the two half-lines from
-    0 less the half-line below u_y.  The integral in u is held to 1e-11
-    of I absolute or 1e-12 relative.
+    0 less the half-line below u_y.  Above u_y = 8 phi(u_y) leaves the
+    integral (`_I_k_above_peak`), since phi itself is 0 past u = 40.
+    The integral is held to 1e-11 of I absolute or 1e-12 relative.
     """
     k = check_k(k)
     check_lam(lam)
@@ -76,6 +82,9 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
         if math.isnan(value):
             raise ValueError(f"I_k_quadrature requires {name} that is not "
                              f"NaN, got {value}")
+    u_y = (y - x) / (2.0 * lam) + lam
+    if u_y > _ABOVE_PEAK:
+        return _I_k_above_peak(k, lam, x, y, u_y)
     try:
         weight = 2.0 * lam * math.exp(-x)
     except OverflowError:  # x < -709.78
@@ -94,7 +103,6 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
     def half_line(f: Callable[[np.ndarray], np.ndarray], lower: float) -> float:
         return quad_semi_infinite(f, lower, max(1e-10 / weight, 5e-324)).value
 
-    u_y = (y - x) / (2.0 * lam) + lam
     if u_y >= -4.0:
         total = half_line(integrand, u_y)
     else:
@@ -104,16 +112,55 @@ def I_k_quadrature(k: int, lam: float, x: float, y: float) -> float:
         total = half_line(integrand, 0.0) + half_line(mirrored, 0.0)
         if u_y > -math.inf:
             total -= half_line(mirrored, -u_y)
-    if total == 0.0:
-        return 0.0
     if weight < math.inf:
         return weight * total
     # 2 lam e^{-x} overflows, but the integral times it may not
+    return _times_exp(total, math.log(2.0 * lam) - x)
+
+
+def _times_exp(value: float, log_scale: float) -> float:
+    """value * e^{log_scale}, formed in logarithms: inf where it
+    overflows, 0 where it underflows."""
+    if value == 0.0:
+        return 0.0
     try:
-        scale = math.exp(math.log(2.0 * lam) - x + math.log(abs(total)))
+        scale = math.exp(log_scale + math.log(abs(value)))
     except OverflowError:
         scale = math.inf
-    return math.copysign(scale, total)
+    return math.copysign(scale, value)
+
+
+def _I_k_above_peak(k: int, lam: float, x: float, y: float, u_y: float) -> float:
+    """I_k for u_y > 8: with u = u_y + s/u_y,
+
+        I = 2 lam e^{-x} phi(u_y)/u_y
+            * int_0^inf e^{-s - s^2/(2 u_y^2)} (y + 2 lam s/u_y)^k ds,
+
+    whose integrand carries the e^{-s} factor the rule expects and
+    never underflows where its weight is not negligible.  The factor
+    in front is formed in logarithms, so I stays finite and nonzero
+    wherever it is, though phi(u_y) is 0 past 40 and e^{-x} overflows
+    below -709.78.
+    """
+    if u_y == math.inf:  # y = inf, or x = -inf, where phi vanishes
+        return 0.0
+    # 2 lam phi(u_y)/u_y = lam/u_y sqrt(2/pi) e^{-u_y^2/2}
+    log_scale = (math.log(lam) - math.log(u_y) + 0.5 * math.log(2.0 / math.pi)
+                 - x - 0.5 * u_y * u_y)
+    if log_scale == -math.inf:
+        return 0.0
+    slope = 2.0 * lam / u_y
+    inv_2u2 = 0.5 / (u_y * u_y)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        density = np.exp(-s - s * s * inv_2u2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = density * (y + slope * s) ** k
+        return np.where(density == 0.0, 0.0, values)
+
+    # 1e-11 of I absolute, as below u_y = 8
+    tol = max(1e-10 * math.exp(min(-log_scale, 709.0)), 5e-324)
+    return _times_exp(quad_semi_infinite(integrand, 0.0, tol).value, log_scale)
 
 
 # Normals per chunk and per Z2 block; the chunk size fixes which doubles

@@ -38,7 +38,7 @@ from .gauss import (
     std_normal_cdf_array,
     std_normal_survival,
 )
-from .hr_core import ApproxOrder, HRParams, check_lam, hr_cdf
+from .hr_core import ApproxOrder, HRParams, _exp_neg, _finite, check_lam, hr_cdf
 from .norming import NormingConstant, check_n, solve_bn, threshold
 from .quadrature import exp_sinh
 
@@ -168,8 +168,6 @@ def make_row(spec: RhoSequenceSpec, n: int) -> ArrayRow:
     elif isinstance(spec, CorollaryInfinity):
         ln_n = math.log(n)
         lnln_n = math.log(ln_n)
-        if lnln_n <= 0.0:
-            raise ValueError(f"regime needs ln ln n > 0, got n = {n}")
         raw = (ln_n - 2.0 * lnln_n - 2.0 * spec.gamma) / (ln_n + lnln_n)
     elif isinstance(spec, CorollaryZero):
         raw = 1.0 - spec.tau_rate**2 / math.log(n) ** 3
@@ -277,19 +275,22 @@ def a_coefficients(row: ArrayRow, lam: float) -> tuple[float, float, float]:
     return a1, a2, a3
 
 
+@_finite
 def h_n_diagnostic(n: int, rho: float, lam: float, x: float, y: float) -> float:
     """h_n = n log F + Phi(lam+(x-y)/2lam) e^{-y} + Phi(lam+(y-x)/2lam) e^{-x}.
 
     Vanishes as n grows along a matching sequence; b_n^2 h_n tends to
-    the second-order coefficient kappa, and exp(h_n) = F^n / H."""
+    the second-order coefficient kappa, and exp(h_n) = F^n / H.  Where
+    e^{-x} or e^{-y} overflows (x or y below about -709.78), so does
+    h_n, and that is a ValueError."""
     n = check_n(n)
     check_rho(rho)
     check_lam(lam)
     half = (x - y) / (2.0 * lam)
     return (
         _n_log_joint_row(n, rho, ((x, y),))[0]
-        + std_normal_cdf(lam + half) * math.exp(-y)
-        + std_normal_cdf(lam - half) * math.exp(-x)
+        + std_normal_cdf(lam + half) * _exp_neg(y)
+        + std_normal_cdf(lam - half) * _exp_neg(x)
     )
 
 

@@ -501,6 +501,17 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([], ApproxOrder.FIRST)
 
+    def test_errors_of_zero_spread(self):
+        # equal errors fit a flat line; r^2 has no spread to explain
+        records = [
+            synthetic_record(10 * i, b, 1.0, 1.0, 0.25)
+            for i, b in enumerate((2.0, 3.0, 4.0, 5.0), start=1)
+        ]
+        fit = fit_rate(records, ApproxOrder.FIRST)
+        assert abs(fit.slope) <= 1e-12
+        assert abs(fit.intercept - math.log(0.25)) <= 1e-12
+        assert fit.r_squared in (0.0, 1.0)
+
     def test_second_order_column(self):
         records = [
             synthetic_record(10 * i, b, 1.0, 1.0, 1.0, 0.3 / (b * b) ** 2)
@@ -1064,6 +1075,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {str(out)!r} line 3: malformed row")
         assert repr(cell.strip()) in err
+
+    def test_rate_names_a_row_of_the_wrong_length(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        main(["table", "--spec", "constant", "--rho", "0.5",
+              "--n", "100,1000,10000", "--grid", "0,0", "--out", str(out)])
+        header, first, second, third = out.read_text().splitlines(True)
+        short = second.rsplit(",", 1)[0] + "\n"
+        out.write_text(header + first + short + third)
+        capsys.readouterr()
+        assert main(["rate", str(out), "--order", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {str(out)!r} line 3: malformed row")
+        assert "(15 cells)" in err
+
+    def test_verify_failed_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(hrx.cli, "_verify_oracle",
+                            lambda seed: [("an oracle", False, "off")])
+        assert main(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL: an oracle [off]" in captured.out
+        assert "all" not in captured.out
+        assert captured.err == "1 of 5 checks failed\n"
 
     def test_verify_unconverged_quadrature_exits_2(self, capsys,
                                                    unconverged_quad):

@@ -417,7 +417,7 @@ class TestCdf:
         assert std_normal_cdf(-math.inf) == 0.0
 
     def test_deep_left_tail(self):
-        # cdf(-x) routes through the survival machinery past x = 8
+        # cdf(-x) is the survival at x, to the bit
         for x, want in SURVIVAL_TAIL.items():
             if x <= 37.0:
                 assert rel_err(std_normal_cdf(-x), want) <= 1e-13
@@ -448,22 +448,19 @@ class TestSurvival:
         assert rel_err(v375, SURVIVAL_TAIL[37.5]) <= 1e-13
 
     def test_symmetry_with_cdf(self):
-        for x in (-3.0, -0.7, 0.3, 2.4, 6.0):
-            assert std_normal_survival(x) == std_normal_cdf(-x)
+        # one formula: the survival at x is the cdf at -x, to the bit,
+        # across both saturation guards and at every special value
+        grid = np.linspace(-41.0, 41.0, 8201).tolist()
+        specials = [0.0, -0.0, 40.0, -40.0, math.inf, -math.inf]
+        for x in grid + specials:
+            got, want = std_normal_survival(x), std_normal_cdf(-x)
+            assert got.hex() == want.hex(), x
+        assert math.isnan(std_normal_survival(math.nan))
+        assert math.isnan(std_normal_cdf(math.nan))
 
     def test_infinities(self):
         assert std_normal_survival(math.inf) == 0.0
         assert std_normal_survival(-math.inf) == 1.0
-
-    def test_branch_seams(self):
-        # the erfc path and the continued-fraction path agree where both
-        # are usable, so the handover points introduce no jump
-        from hrx.gauss import _half_erfc_scaled, _tail_cf
-
-        for x in (8.0, 12.0, 20.0):
-            erfc_path = _half_erfc_scaled(x)
-            cf_path = std_normal_pdf(x) * _tail_cf(x)
-            assert rel_err(cf_path, erfc_path) <= 5e-14
 
 
 class TestNormalArrays:
@@ -478,10 +475,17 @@ class TestNormalArrays:
         with mpmath.workdps(40):
             pdf = np.array([float(mpmath.npdf(x)) for x in self.GRID])
             cdf = np.array([float(mpmath.ncdf(x)) for x in self.GRID])
+            sf = np.array([float(mpmath.ncdf(-x)) for x in self.GRID])
         got_pdf = gauss.std_normal_pdf_array(self.GRID)
         got_cdf = gauss.std_normal_cdf_array(self.GRID)
         assert np.max(np.abs(got_pdf - pdf) / pdf) <= 1e-15
         assert np.max(np.abs(got_cdf - cdf) / cdf) <= 1.5e-15
+        # the scalar functions
+        grid = self.GRID.tolist()
+        for f, want in ((std_normal_pdf, pdf), (std_normal_cdf, cdf),
+                        (std_normal_survival, sf)):
+            got = np.array([f(x) for x in grid])
+            assert np.max(np.abs(got - want) / want) <= 1e-15, f.__name__
 
     def test_saturation_and_nan(self):
         x = np.array([[40.0, -40.0, 1e200, -1e200],
@@ -621,6 +625,14 @@ class TestBivariateSurvival:
         assert bivariate_normal_survival(0.0, math.inf, 0.5) == 0.0
         got = bivariate_normal_survival(-math.inf, 1.0, 0.5)
         assert got == std_normal_survival(1.0)
+
+    @pytest.mark.parametrize("r", [0.3, -1.0])
+    def test_saturated_lower_threshold(self, r):
+        # a threshold at or below -40 is never exceeded, on either side;
+        # at rho = -1 the pair is not reordered, so k takes its own branch
+        want = std_normal_survival(1.0)
+        assert bivariate_normal_survival(1.0, -45.0, r) == want
+        assert bivariate_normal_survival(-45.0, 1.0, r) == want
 
     @pytest.mark.parametrize("r", [2.0, -3.0, math.nan])
     def test_rho_domain(self, r):

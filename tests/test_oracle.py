@@ -302,6 +302,15 @@ class TestIkQuadrature:
             assert rel_err(I_k_quadrature(k, lam, x, y), want) <= 1e-9
 
     @pytest.mark.parametrize("lam, x, y", [
+        (1.0, 0.0, 15.0), (0.3, 3.0, 14.82), (5.0, -3.0, 317.0),
+    ])
+    def test_lower_limit_far_above_the_peak(self, lam, x, y):
+        # u_y = 8.5, 20 and 37: phi(u_y) is factored out of the integral
+        for k in range(4):
+            want = hrx.I_closed(k, lam, x, y)
+            assert rel_err(I_k_quadrature(k, lam, x, y), want) <= 1e-12
+
+    @pytest.mark.parametrize("lam, x, y", [
         (0.05, 0.0, -0.795), (0.05, 1.0, 0.2), (0.03, 0.0, -0.3),
         (20.0, 0.0, -1300.0), (20.0, 5.0, -900.0),
     ])
@@ -350,16 +359,33 @@ class TestIkQuadrature:
         (0, 0.01, -712.0, -713.0, 3.301422530377269e+307),
         (2, 0.01, -712.0, -711.9, 4.553477292016474e+306),
         (1, 0.5, -720.0, -730.0, -math.inf),
+        # u_y = 51 and 41, past the u = 40 where phi is exactly 0: the
+        # integral in u vanished, and 0 was returned for these
+        (0, 1.0, -800.0, -700.0, 6.757948547186951e-220),
+        (0, 1.0, -700.0, -620.0, 1.8643331659886652e-63),
     ])
     def test_exponential_overflows_outside_the_integral(self, k, lam, x, y,
                                                         want):
-        # e^{-x} overflows below x = -709.78 where I need not: 40-digit
-        # mpmath values, correctly rounded, and -inf past the double range
+        # e^{-x} overflows below x = -709.78, and phi(u_y) underflows past
+        # u_y = 38.6, where I need not: 40-digit mpmath values, correctly
+        # rounded, and -inf past the double range
         got = I_k_quadrature(k, lam, x, y)
         if math.isinf(want):
             assert got == want
         else:
             assert rel_err(got, want) <= 1e-12
+
+    def test_weight_underflow_is_zero(self):
+        # 2 lam e^{-x} is 0 from x = 745.2 on, and so is I
+        assert I_k_quadrature(0, 1.0, 800.0, 0.0) == 0.0
+        # above the peak: an empty range (y = inf), a density that
+        # vanishes everywhere (x = -inf), and u_y^2 past the double range
+        assert I_k_quadrature(0, 1.0, 0.0, math.inf) == 0.0
+        assert I_k_quadrature(3, 1.0, -math.inf, 0.0) == 0.0
+        assert I_k_quadrature(1, 1e-300, 0.0, 1.0) == 0.0
+        # a zero integral stays 0 under a weight past the double range
+        assert hrx.oracle._times_exp(0.0, 800.0) == 0.0
+        assert hrx.oracle._times_exp(-2.0, 800.0) == -math.inf
 
     def test_infinite_lower_limit_is_the_whole_line(self):
         # I_0 over the whole line is 2 lam e^{-x}

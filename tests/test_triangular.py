@@ -253,6 +253,8 @@ class TestMakeRow:
             make_row(SPEC, 2)
         with pytest.raises(TypeError):
             make_row(SPEC, 3.5)
+        with pytest.raises(TypeError, match="unknown correlation spec"):
+            make_row(object(), 100)
 
     @given(st.one_of(
         st.builds(ConstantRho, st.floats(-1.0, 1.0)),
@@ -500,6 +502,14 @@ class TestHnDiagnostic:
             h_n_diagnostic(10**4, 0.5, -1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             h_n_diagnostic(2, 0.5, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(0.0, -710.0), (-710.0, 0.0),
+                                      (-800.0, -810.0)])
+    def test_overflowing_exponential_is_named(self, x, y):
+        # e^{-y} or e^{-x} overflows, and h_n with it: an OverflowError
+        # escaped from math.exp before
+        with pytest.raises(ValueError, match="overflowed"):
+            h_n_diagnostic(1000, 0.5, 1.0, x, y)
 
 
 class TestLemma31TailApprox:
