@@ -38,7 +38,7 @@ from .gauss import (
     std_normal_cdf_array,
     std_normal_survival,
 )
-from .hr_core import ApproxOrder, HRParams, _exp_neg, _finite, check_lam, hr_cdf
+from .hr_core import ApproxOrder, HRParams, check_lam, hr_cdf
 from .norming import NormingConstant, check_n, solve_bn, threshold
 from .quadrature import exp_sinh
 
@@ -275,7 +275,6 @@ def a_coefficients(row: ArrayRow, lam: float) -> tuple[float, float, float]:
     return a1, a2, a3
 
 
-@_finite
 def h_n_diagnostic(n: int, rho: float, lam: float, x: float, y: float) -> float:
     """h_n = n log F + Phi(lam+(x-y)/2lam) e^{-y} + Phi(lam+(y-x)/2lam) e^{-x}.
 
@@ -286,11 +285,16 @@ def h_n_diagnostic(n: int, rho: float, lam: float, x: float, y: float) -> float:
     n = check_n(n)
     check_rho(rho)
     check_lam(lam)
+    try:
+        ex, ey = math.exp(-x), math.exp(-y)
+    except OverflowError:
+        raise ValueError(f"h_n_diagnostic({n}, {rho!r}, {lam!r}, {x!r}, "
+                         f"{y!r}): e^{{-x}} or e^{{-y}} overflowed") from None
     half = (x - y) / (2.0 * lam)
     return (
         _n_log_joint_row(n, rho, ((x, y),))[0]
-        + std_normal_cdf(lam + half) * _exp_neg(y)
-        + std_normal_cdf(lam - half) * _exp_neg(x)
+        + std_normal_cdf(lam + half) * ey
+        + std_normal_cdf(lam - half) * ex
     )
 
 

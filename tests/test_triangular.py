@@ -511,6 +511,10 @@ class TestHnDiagnostic:
         with pytest.raises(ValueError, match="overflowed"):
             h_n_diagnostic(1000, 0.5, 1.0, x, y)
 
+    def test_vanished_cdf_is_minus_infinity(self):
+        # F = 0 in double while e^{-x} is finite: n log F = -inf is h_n
+        assert h_n_diagnostic(1000, 0.5, 1.0, -300.0, -300.0) == -math.inf
+
 
 class TestLemma31TailApprox:
     def test_frozen_values(self):
