@@ -1095,7 +1095,7 @@ class TestMain:
         assert main(["verify"]) == 2
         captured = capsys.readouterr()
         assert "FAIL: an oracle [off]" in captured.out
-        assert "all" not in captured.out
+        assert "checks passed" not in captured.out
         assert captured.err == "1 of 5 checks failed\n"
 
     def test_verify_unconverged_quadrature_exits_2(self, capsys,
