@@ -179,26 +179,22 @@ _CSV_HEADER = [
     "clipped",
 ]
 
-# printf formats of a line from its formatted "n,b_n,rho_n," head, x and
-# y cells and ",clipped\n" tail: the 10 value cells between y and the
-# tail at 17 significant digits, or blank for a skipped point; and of a
-# line that takes its value cells and tail from an earlier line
-_LINE = "%s%s,%s," + ",".join(["%.17g"] * 10) + "%s"
-_BLANK_LINE = "%s%s,%s" + "," * 10 + "%s"
-_REPEAT_LINE = "%s%s,%s,%s"
+# the 10 value cells of a line, after its y cell, at 17 significant digits
+_VALUES = ",%.17g" * 10
 
 
 def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
     """Fixed-header CSV, 17 significant digits, byte-stable.
 
-    A cell shared by many lines is formatted once: the n, b_n, rho_n
-    head and the clipped tail while a record carries the same objects as
-    the one before (records arrive n-major), and each nonzero x or y
-    value through a memo.  Within a row, a line whose 10 values equal
-    those of an earlier line, as a square grid's (y, x) repeats (x, y),
-    copies that line's value cells; the earlier line is found by its
-    exact value, so a line that repeats none costs one dict lookup.
-    Zeros skip both memos: 0.0 == -0.0 would merge them.  "-" is stdout.
+    Each line is its n, b_n, rho_n head, x and y cells, and rest: the 10
+    value cells (blank for a skipped point) and the clipped tail.  The
+    head and tail are formatted once while a record carries the same
+    objects as the one before (records arrive n-major), and each nonzero
+    x or y value once through a memo.  Within a row, a line whose 10
+    values equal those of an earlier line, as a square grid's (y, x)
+    repeats (x, y), reuses that line's rest, found by its exact value,
+    so a line that repeats none costs one dict lookup.  Zeros skip both
+    memos: 0.0 == -0.0 would merge them.  "-" is stdout.
     """
     lines = [",".join(_CSV_HEADER) + "\n"]
     cells: dict[float, str] = {}
@@ -221,20 +217,15 @@ def write_records(records: Iterable[ConvergenceRecord], path: str) -> None:
             if y:
                 cells[y] = y_cell
         if exact is None:
-            lines.append(_BLANK_LINE % (head, x_cell, y_cell, tail))
-            continue
-        seen = earlier.get(exact)
-        if (seen is not None and seen[0] == approx and seen[1] == err
-                and seen[2] == scaled and exact and 0.0 not in approx
-                and 0.0 not in err and 0.0 not in scaled):
-            # the earlier line after its n, b_n, rho_n, x and y cells
-            line = _REPEAT_LINE % (head, x_cell, y_cell,
-                                   seen[3].split(",", 5)[5])
+            rest = "," * 10 + tail
+        elif ((seen := earlier.get(exact)) is not None and exact
+              and seen[0] == approx and seen[1] == err and seen[2] == scaled
+              and 0.0 not in approx and 0.0 not in err and 0.0 not in scaled):
+            rest = seen[3]
         else:
-            line = _LINE % (head, x_cell, y_cell, exact,
-                            *approx, *err, *scaled, tail)
-            earlier[exact] = approx, err, scaled, line
-        lines.append(line)
+            rest = _VALUES % (exact, *approx, *err, *scaled) + tail
+            earlier[exact] = approx, err, scaled, rest
+        lines.append(head + x_cell + "," + y_cell + rest)
     text = "".join(lines)
     if path == "-":
         sys.stdout.write(text)
@@ -300,12 +291,13 @@ def fit_rate(records: Sequence[ConvergenceRecord], order: ApproxOrder) -> RateFi
     xs = np.array([2.0 * math.log(r.b) for r in chosen])
     ys = np.array([math.log(r.err[k]) for r in chosen])
     slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = ys - (slope * xs + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res == 0.0 else 0.0
+    if np.ptp(ys) == 0.0:
+        # equal errors lie on the flat line, whatever polyfit's rounding
+        r_squared = 1.0
     else:
+        residuals = ys - (slope * xs + intercept)
+        ss_res = float(np.sum(residuals**2))
+        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
         r_squared = 1.0 - ss_res / ss_tot
     return RateFit(float(slope), float(intercept), min(max(r_squared, 0.0), 1.0))
 

@@ -14,9 +14,9 @@ give.  Two ingredients make that work, one formula per function:
   * phi(x) is exp(-x^2/2) evaluated with a split square, exp(-hi^2/2) *
     exp(-(x^2 - hi^2)/2), so the argument rounding of x^2/2 (worth
     ~x^2 * ulp in relative terms) never lands inside the exponential;
-  * cdf and survival are both 0.5 erfc(v/sqrt(2)), v = -x or x, with the
-    rounding defect of the argument v/sqrt(2) corrected to first order,
-    so survival(x) is the same double as cdf(-x) for every x.
+  * cdf(x) is 0.5 erfc(-x/sqrt(2)), with the rounding defect of the
+    argument -x/sqrt(2) corrected to first order, and survival(x) is
+    cdf(-x).
 
 Beyond |t| = 40 every normal probability is exactly 0 or 1 in double
 precision, so each function meets infinite and huge arguments with one
@@ -41,12 +41,13 @@ and rho in [-0.98, 1) wherever the value is a normal double.
 
 `bivariate_survival_row` evaluates every pair of one rho at once:
 joint-tail pairs in `joint_tail_survival`'s numpy passes, pairs that a
-closed form settles (a threshold saturated at +-40, or rho in {0, 1,
--1}) by that form, and the rest in one numpy pass of the Gauss-Legendre
-or the Genz branch, whose node terms depend on rho alone.  Both passes
-use only elementwise IEEE operations and per-pair sums in a fixed order,
-so each value is the same double whether its pair comes alone or in a
-row: `bivariate_normal_survival` is the one-pair row.  The survival is
+closed form settles (a threshold saturated at +-40, or rho = +-1) by
+that form, and the rest in one numpy pass of the Gauss-Legendre or the
+Genz branch, whose node terms depend on rho alone (at rho = +-0, the
+node sum is +-0 and the value survival(h) survival(k)).  Both passes use
+only elementwise IEEE operations and per-pair sums in a fixed order, so
+each value is the same double whether its pair comes alone or in a row:
+`bivariate_normal_survival` is the one-pair row.  The survival is
 also bitwise symmetric in (h, k) for every rho in (-1, 1), in every
 branch: the Genz branch for rho < -0.925 evaluates each pair in
 ascending order, the one order that keeps relative accuracy.  At
@@ -166,11 +167,8 @@ def std_normal_cdf(x: float) -> float:
 
 
 def std_normal_survival(x: float) -> float:
-    """Tail probability P(Z > x) without forming 1 - cdf: the same double
-    as std_normal_cdf(-x) for every x."""
-    if abs(x) >= _SATURATED:
-        return 0.0 if x > 0.0 else 1.0
-    return _half_erfc_scaled(x)
+    """Tail probability P(Z > x) without forming 1 - cdf: Phi(-x)."""
+    return std_normal_cdf(-x)
 
 
 def _exp_neg_half_square_array(x: np.ndarray) -> np.ndarray:
@@ -260,7 +258,7 @@ def _cumulative_sum(columns: np.ndarray) -> np.ndarray:
 def _quadrature_row(
     pairs: Sequence[tuple[float, float]], r: float
 ) -> list[float]:
-    """P(X > h, Y > k) for pairs with h, k in (-40, 40), 0 < |r| < 1.
+    """P(X > h, Y > k) for pairs with h, k in (-40, 40), |r| < 1.
 
     Gauss-Legendre quadrature on the correlation-parameter representation
     for |r| <= 0.925; for larger |r| the complement is expanded about the
@@ -727,15 +725,13 @@ def joint_tail_survival(
 
 def _closed_form(h: float, k: float, rho: float) -> float | None:
     """P(X > h, Y > k) where a closed form settles it: a threshold
-    saturated at +-40, or rho in {0, 1, -1}.  None elsewhere."""
+    saturated at +-40, or rho = +-1.  None elsewhere."""
     if max(h, k) >= _SATURATED:
         return 0.0
     if h <= -_SATURATED:
         return std_normal_survival(k)
     if k <= -_SATURATED:
         return std_normal_survival(h)
-    if rho == 0.0:
-        return std_normal_survival(h) * std_normal_survival(k)
     if rho == 1.0:
         return std_normal_survival(max(h, k))
     if rho == -1.0:

@@ -502,15 +502,17 @@ class TestFitRate:
             fit_rate([], ApproxOrder.FIRST)
 
     def test_errors_of_zero_spread(self):
-        # equal errors fit a flat line; r^2 has no spread to explain
-        records = [
-            synthetic_record(10 * i, b, 1.0, 1.0, 0.25)
-            for i, b in enumerate((2.0, 3.0, 4.0, 5.0), start=1)
-        ]
-        fit = fit_rate(records, ApproxOrder.FIRST)
-        assert abs(fit.slope) <= 1e-12
-        assert abs(fit.intercept - math.log(0.25)) <= 1e-12
-        assert fit.r_squared in (0.0, 1.0)
+        # equal errors lie on a flat line, which fits them exactly, even
+        # where polyfit leaves residuals of ~1e-16 (0.1, 1e-3, 0.3, 2^-10)
+        for e in (0.25, 0.1, 1e-3, 0.3, 2.0**-10):
+            records = [
+                synthetic_record(10 * i, b, 1.0, 1.0, e)
+                for i, b in enumerate((2.0, 3.0, 4.0, 5.0), start=1)
+            ]
+            fit = fit_rate(records, ApproxOrder.FIRST)
+            assert abs(fit.slope) <= 1e-12
+            assert abs(fit.intercept - math.log(e)) <= 1e-12
+            assert fit.r_squared == 1.0, e
 
     def test_second_order_column(self):
         records = [

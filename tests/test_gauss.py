@@ -991,6 +991,26 @@ class TestQuadratureRow:
         for (h, k), value in zip(pairs, got):
             assert abs(value - scalar_reference(h, k, row.rho)) <= 5e-16
 
+    @pytest.mark.parametrize("r", [0.0, -0.0])
+    def test_independence_is_the_survival_product(self, r):
+        # asin(+-0) = +-0 makes the node sum +-0, so the pass leaves the
+        # product itself, bit for bit: Gauss-Legendre pairs, joint-tail
+        # pairs (min(h, k) >= 3) and pairs on both sides of +-40
+        inner = [(0.4, -1.2), (2.0, 2.0), (-3.0, 1.0), (-39.5, 12.0),
+                 (3.5, 4.0), (4.0, 3.5), (10.0, 30.0), (37.0, 39.9),
+                 (39.999, 1.0), (-39.999, 2.0), (39.999, 39.999)]
+        outer = [(40.0, 1.0), (-40.0, 2.0), (1.0, -45.0), (45.0, 3.5),
+                 (-math.inf, 0.5), (math.inf, 3.5), (-40.0, -40.0)]
+
+        def product(pairs):
+            return [(std_normal_survival(h) * std_normal_survival(k)).hex()
+                    for h, k in pairs]
+
+        got = bivariate_survival_row(inner + outer, r)
+        assert [v.hex() for v in got] == product(inner + outer)
+        got = gauss._quadrature_row(inner, r)
+        assert [v.hex() for v in got] == product(inner)
+
     @given(
         st.lists(st.tuples(
             st.one_of(st.floats(-45.0, 45.0),
