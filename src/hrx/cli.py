@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -115,17 +117,15 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """One record per (n, grid point), n-major, in deterministic order.
 
     H, kappa and tau do not depend on n: one `hr_expansion_grid` pass
-    gives them at every grid point, and each row combines them with its
-    own b_n^2 as arrays.  The exact F^n is one `exact_row_cdf` call per
-    row over the points whose H is above the floor.  Every record field
-    is a Python float, the same double a point-by-point evaluation gives.
+    per (limit, grid) per process, with the last one kept
+    (`_grid_terms`), gives them at every grid point, and each row
+    combines them with its own b_n^2 as arrays.  The exact F^n is one
+    `exact_row_cdf` call per row over the points whose H is above the
+    floor.  Every record field is a Python float, the same double a
+    point-by-point evaluation gives.
     """
     rows = [make_row(config.spec, n) for n in config.n_values]
-    h, c1, c2 = hr_expansion_grid(config.spec.params, config.grid)
-    keep = (~(h < _H_FLOOR)).tolist()
-    h, c1, c2 = h[keep], c1[keep], c2[keep]
-    points = [p for p, kept in zip(config.grid, keep) if kept]
-    skipped = [i for i, kept in enumerate(keep) if not kept]
+    h, c1, c2, points, skipped = _grid_terms(config.spec.params, config.grid)
     records = []
     for row in rows:
         n, b, rho, clipped = row.n, row.b.b, row.rho, row.clipped
@@ -143,6 +143,43 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
         records += [ConvergenceRecord(n, b, rho, x, y, e, a, er, sc, clipped)
                     for (x, y), (e, a, er, sc) in zip(config.grid, cells)]
     return records
+
+
+# The key and n-free terms of the last (limit, grid) `_grid_terms` saw.
+# A process runs one (limit, grid) in `perfbench`'s one-row study jobs
+# and in a one-shot `hrx table`, so one entry is all that pays, and it
+# bounds the memory held at one grid's terms.
+_last_terms: tuple[bytes, tuple] | None = None
+
+
+def _grid_terms(
+    params: HRParams, grid: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+           tuple[tuple[float, float], ...], tuple[int, ...]]:
+    """H, c1 and c2 at the grid points whose H is above the floor, as
+    read-only arrays, those points, and the indices of the others.
+
+    They are kept for the next call, keyed by the exact bits of lam,
+    alpha, beta and every grid value, so that -0.0 and 0.0 never share
+    an entry.  Packing the key costs a fraction of `np.asarray` of the
+    grid alone."""
+    global _last_terms
+    key = struct.pack(f"{3 + 2 * len(grid)}d",
+                      params.lam, params.alpha, params.beta,
+                      *itertools.chain.from_iterable(grid))
+    last = _last_terms
+    if last is not None and last[0] == key:
+        return last[1]
+    h, c1, c2 = hr_expansion_grid(params, grid)
+    keep = (~(h < _H_FLOOR)).tolist()
+    terms = h[keep], c1[keep], c2[keep]
+    for array in terms:
+        array.flags.writeable = False
+    points = tuple(p for p, kept in zip(grid, keep) if kept)
+    skipped = tuple(i for i, kept in enumerate(keep) if not kept)
+    entry = *terms, points, skipped
+    _last_terms = key, entry
+    return entry
 
 
 class ConvergenceRecord(NamedTuple):
@@ -519,7 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--gamma", help="corollary-infinity offset")
     table.add_argument("--tau-rate", help="corollary-zero rate")
     table.add_argument("--n", help="comma list, or a:b:step in log10")
-    table.add_argument("--grid", help="x=a:b:step[,y=a:b:step] or x,y;x,y;...")
+    table.add_argument("--grid", help="x=a:b:step[,y=a:b:step] or x,y;x,y;... "
+                       "(write --grid=-1,0;... for a list that starts with -)")
     table.add_argument("--out", help="output CSV path, - for stdout")
 
     rate = sub.add_parser("rate", help="fit log err_k vs log b^2 from a CSV")
@@ -527,7 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rate.add_argument("csv", help="study CSV produced by `hrx table`")
     rate.add_argument("--order", required=True,
                       help="which error column to fit: 1|2|3")
-    rate.add_argument("--point", help="restrict to one grid point: x,y")
+    rate.add_argument("--point", help="restrict to one grid point: x,y "
+                      "(write --point=-1,0 for a negative x)")
 
     verify = sub.add_parser("verify", help="run identity and oracle suites")
     verify.set_defaults(run=_cmd_verify)

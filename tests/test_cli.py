@@ -20,6 +20,7 @@ from hrx.cli import (
     _CSV_HEADER,
     _build_parser,
     _build_spec,
+    _grid_terms,
     _load_config_file,
     _parse_axis,
     _parse_grid,
@@ -258,6 +259,81 @@ class TestRunStudy:
         assert all(lines[0] == whole[0] for lines in rows)
         assert whole[1:] == [line for lines in rows for line in lines[1:]]
         assert len(whole) == 1 + len(n_values) * len(grid)
+        # the same rows from kept terms: in reverse order, each after a
+        # study of another grid and one of another limit, whose terms
+        # replace the kept ones, then once more right after its own
+        for i in reversed(range(len(n_values))):
+            run_study(StudyConfig(SMALL_CONFIG.spec, (100,), grid[:2]))
+            run_study(StudyConfig(hrx.ThirdOrderHR(1.0, 2.0), (100,), grid))
+            assert csv_lines((n_values[i],)) == rows[i]
+            assert csv_lines((n_values[i],)) == rows[i]
+
+
+class TestGridTerms:
+    """`run_study` keeps the n-free terms of the last (limit, grid)."""
+
+    GRID = ((1.0, 1.0), (-710.0, -710.0), (0.0, 2.0), (-710.0, 1.0),
+            (3.0, 0.5))
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        """The limits of the `hr_expansion_grid` calls made, with nothing
+        kept from earlier studies."""
+        calls = []
+
+        def counted(params, points):
+            calls.append(params)
+            return hrx.hr_expansion_grid(params, points)
+
+        monkeypatch.setattr(hrx.cli, "hr_expansion_grid", counted)
+        monkeypatch.setattr(hrx.cli, "_last_terms", None)
+        return calls
+
+    def test_equal_study_reuses_terms(self, expansions):
+        first = run_study(StudyConfig(hrx.ThirdOrderHR(1.0, 2.0, 5.0),
+                                      (10, 10**5), self.GRID))
+        assert len(expansions) == 1
+        # an equal limit and grid in new objects, at other n
+        again = run_study(StudyConfig(hrx.ThirdOrderHR(1.0, 2.0, 5.0),
+                                      (10**5,), tuple(map(tuple, self.GRID))))
+        assert len(expansions) == 1
+        assert again == first[len(self.GRID):]
+
+    def test_skipped_points_keep_their_positions(self, expansions):
+        config = StudyConfig(SMALL_CONFIG.spec, (10**3,), self.GRID)
+        skipped = [False, True, False, True, False]
+        for _ in range(2):
+            records = run_study(config)
+            assert [r.skipped for r in records] == skipped
+            assert [(r.x, r.y) for r in records] == list(self.GRID)
+            for record in records:
+                check_record(record, config.spec)
+        assert len(expansions) == 1
+
+    def test_signed_zeros_are_apart(self, expansions):
+        # grids that differ only in the sign of a zero, and limits whose
+        # alpha does, each take their own pass, in alternation
+        grids = [((0.0, 1.0), (2.0, 0.0)), ((-0.0, 1.0), (2.0, 0.0)),
+                 ((0.0, 1.0), (2.0, -0.0))]
+        for grid in grids * 2:
+            records = run_study(StudyConfig(SMALL_CONFIG.spec, (100,), grid))
+            assert [repr((r.x, r.y)) for r in records] == list(map(repr, grid))
+        assert len(expansions) == 6
+        del expansions[:]
+        grid = ((1.0, 1.0),)
+        for alpha in (0.0, -0.0) * 2:
+            run_study(StudyConfig(hrx.ThirdOrderHR(1.0, alpha), (100,), grid))
+        assert [math.copysign(1.0, p.alpha) for p in expansions] == [1, -1] * 2
+
+    def test_kept_arrays_are_read_only(self):
+        h, c1, c2, points, skipped = _grid_terms(SMALL_CONFIG.spec.params,
+                                                 self.GRID)
+        assert points == (self.GRID[0], self.GRID[2], self.GRID[4])
+        assert skipped == (1, 3)
+        for array in (h, c1, c2):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        assert _grid_terms(SMALL_CONFIG.spec.params, self.GRID)[0] is h
 
 
 class TestCsvRoundTrip:
@@ -311,11 +387,13 @@ class TestCsvRoundTrip:
     def test_frozen_reference_study_bytes(self, tmp_path, capsys, name, digest):
         # the two full reference studies, byte for byte; the benchmark's
         # reference files hold them only within tolerance
+        # (the second run takes the terms the first one kept)
         path = tmp_path / "study.csv"
-        assert main([*THIRD_ORDER_TABLE, *REFERENCE_STUDIES[name],
-                     "--out", str(path)]) == 0
-        capsys.readouterr()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        for _ in range(2):
+            assert main([*THIRD_ORDER_TABLE, *REFERENCE_STUDIES[name],
+                         "--out", str(path)]) == 0
+            capsys.readouterr()
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_header_guard(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -677,6 +755,30 @@ class TestMain:
         line = capsys.readouterr().out
         assert line.startswith("order=2 slope=")
         assert "r_squared=" in line
+
+    def test_point_lists_that_start_with_minus(self, tmp_path, capsys):
+        # argparse takes "-2,0;-1,0" after a space for an option; after
+        # "=" it is the option's value.  --point picks the second point,
+        # not the first that an unrestricted fit would take
+        out = str(tmp_path / "study.csv")
+        table = [*THIRD_ORDER_TABLE, "--n", "10,1000,100000", "--out", out]
+        assert main([*table, "--grid", "-2,0;-1,0"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --grid: expected one argument" in err
+        assert main([*table, "--grid=-2,0;-1,0"]) == 0
+        capsys.readouterr()
+        records = read_records(out)
+        assert [(r.x, r.y) for r in records[:2]] == [(-2.0, 0.0), (-1.0, 0.0)]
+
+        rate = ["rate", out, "--order", "1"]
+        assert main([*rate, "--point", "-1,0"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --point: expected one argument" in err
+        assert main([*rate, "--point=-1,0"]) == 0
+        fit = fit_rate([r for r in records if r.x == -1.0], ApproxOrder.FIRST)
+        assert capsys.readouterr().out == (
+            f"order=1 slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
+            f"r_squared={fit.r_squared:.6g}\n")
 
     def test_table_to_stdout(self, capsys):
         code = main([
